@@ -188,8 +188,8 @@ int run_overhead_mode(const std::string& facility,
   config.checkpoint_path.clear();
 
   // One untimed fit first: the initial run pays one-off costs (page
-  // faults, OpenMP pool spawn) that would otherwise bias whichever side
-  // goes first.
+  // faults, worker-pool thread spawn) that would otherwise bias
+  // whichever side goes first.
   {
     core::CkatModel warmup(ckg, split.train, config);
     warmup.fit();

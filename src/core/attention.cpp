@@ -11,7 +11,8 @@
 namespace ckat::core {
 
 std::vector<float> raw_attention_scores(const graph::Adjacency& adjacency,
-                                        const TransR& transr) {
+                                        const TransR& transr,
+                                        util::WorkerPool* pool) {
   const std::size_t n_edges = adjacency.n_edges();
   std::vector<float> scores(n_edges);
 
@@ -45,8 +46,8 @@ std::vector<float> raw_attention_scores(const graph::Adjacency& adjacency,
     }
     const nn::Tensor& w = transr.projection(r).value();
     nn::Tensor head_projected(group, k), tail_projected(group, k);
-    nn::gemm(heads, w, head_projected);
-    nn::gemm(tails, w, tail_projected);
+    nn::gemm(heads, w, head_projected, 1.0f, false, pool);
+    nn::gemm(tails, w, tail_projected, 1.0f, false, pool);
 
     for (std::size_t i = 0; i < group; ++i) {
       auto hp = head_projected.row(i);
@@ -78,8 +79,9 @@ PropagationMatrix coefficients_to_matrix(const graph::Adjacency& adjacency,
 }  // namespace
 
 PropagationMatrix build_attention_matrix(const graph::Adjacency& adjacency,
-                                         const TransR& transr) {
-  std::vector<float> scores = raw_attention_scores(adjacency, transr);
+                                         const TransR& transr,
+                                         util::WorkerPool* pool) {
+  std::vector<float> scores = raw_attention_scores(adjacency, transr, pool);
 
   // Per-head softmax (Eq. 5); edges are already sorted by head.
   const auto offsets = adjacency.offsets();

@@ -23,9 +23,11 @@ struct PropagationMatrix {
 };
 
 /// Computes attention-weighted propagation coefficients from the current
-/// TransR parameters (Eq. 4-5).
+/// TransR parameters (Eq. 4-5). `pool` (optional) runs the projection
+/// GEMMs.
 PropagationMatrix build_attention_matrix(const graph::Adjacency& adjacency,
-                                         const TransR& transr);
+                                         const TransR& transr,
+                                         util::WorkerPool* pool = nullptr);
 
 /// Uniform coefficients 1/|N_h| -- the "w/o Att" ablation of Table IV.
 PropagationMatrix build_uniform_matrix(const graph::Adjacency& adjacency);
@@ -33,6 +35,7 @@ PropagationMatrix build_uniform_matrix(const graph::Adjacency& adjacency);
 /// Raw (pre-softmax) attention scores per edge, in adjacency edge order.
 /// Exposed for tests and diagnostics.
 std::vector<float> raw_attention_scores(const graph::Adjacency& adjacency,
-                                        const TransR& transr);
+                                        const TransR& transr,
+                                        util::WorkerPool* pool = nullptr);
 
 }  // namespace ckat::core

@@ -129,7 +129,8 @@ std::size_t CkatModel::representation_dim() const {
 
 void CkatModel::refresh_propagation_matrix() {
   propagation_ = config_.use_attention
-                     ? build_attention_matrix(adjacency_, *transr_)
+                     ? build_attention_matrix(adjacency_, *transr_,
+                                              &trainer_->pool())
                      : build_uniform_matrix(adjacency_);
 }
 
@@ -178,7 +179,7 @@ float CkatModel::cf_step(util::Rng& rng) {
     negatives.push_back(ckg_.item_entity(triple.negative));
   }
 
-  nn::Tape tape;
+  nn::Tape tape(&trainer_->pool());
   util::Rng dropout_rng = rng.fork(17);
   nn::Var representation = propagate(tape, /*training=*/true, dropout_rng);
 
@@ -435,7 +436,7 @@ bool CkatModel::try_rollback() {
 }
 
 void CkatModel::cache_final_representations() {
-  nn::Tape tape;
+  nn::Tape tape(&trainer_->pool());
   util::Rng unused(0);
   nn::Var representation = propagate(tape, /*training=*/false, unused);
   final_representations_ = tape.value(representation);

@@ -11,7 +11,9 @@ namespace ckat::core {
 
 int resolve_train_threads(int requested) {
   if (requested > 0) return std::min(requested, 64);
-  return static_cast<int>(util::env_int("CKAT_TRAIN_THREADS", 1, 1, 64));
+  const auto cpus = static_cast<long long>(util::affinity_cpu_count());
+  return static_cast<int>(
+      util::env_int("CKAT_TRAIN_THREADS", std::min(cpus, 64LL), 1, 64));
 }
 
 std::size_t resolve_train_batch(std::size_t requested, std::size_t fallback) {
@@ -83,39 +85,37 @@ float MinibatchTrainer::cf_step(nn::Tape& tape, nn::Var representation,
   };
   std::vector<CfSlot> slots(n_slots);
 
-  // Workers read the shared representation value (immutable during the
-  // fan-out) and write only their own slot's entry.
-  pool_.run([&](std::size_t worker) {
-    for (std::size_t s = worker; s < n_slots; s += pool_.size()) {
-      const std::size_t begin = s * kCfSlotPairs;
-      const std::size_t size = std::min(kCfSlotPairs, batch - begin);
-      nn::Tape st;
-      const nn::Var u = st.input(gather_rows(rep, users.subspan(begin, size)));
-      const nn::Var p =
-          st.input(gather_rows(rep, positives.subspan(begin, size)));
-      const nn::Var n =
-          st.input(gather_rows(rep, negatives.subspan(begin, size)));
+  // One chunk per slot; workers read the shared representation value
+  // (immutable during the fan-out) and write only their own slot.
+  pool_.for_chunks(batch, kCfSlotPairs, [&](std::size_t begin,
+                                            std::size_t end) {
+    const std::size_t size = end - begin;
+    nn::Tape st;
+    const nn::Var u = st.input(gather_rows(rep, users.subspan(begin, size)));
+    const nn::Var p =
+        st.input(gather_rows(rep, positives.subspan(begin, size)));
+    const nn::Var n =
+        st.input(gather_rows(rep, negatives.subspan(begin, size)));
 
-      const nn::Var pos_scores = st.sum_cols(st.mul(u, p));
-      const nn::Var neg_scores = st.sum_cols(st.mul(u, n));
-      // Slot share of the batch objective: softplus terms carry the
-      // 1/B of the BPR mean, the L2 term the lambda/B of Eq. 13.
-      const nn::Var bpr = st.scale(
-          st.reduce_sum(st.softplus(st.sub(neg_scores, pos_scores))),
-          inv_batch);
-      const nn::Var reg = st.scale(
-          st.reduce_sum(
-              st.add(st.add(st.square(u), st.square(p)), st.square(n))),
-          l2_coefficient * inv_batch);
-      const nn::Var loss = st.add(bpr, reg);
+    const nn::Var pos_scores = st.sum_cols(st.mul(u, p));
+    const nn::Var neg_scores = st.sum_cols(st.mul(u, n));
+    // Slot share of the batch objective: softplus terms carry the
+    // 1/B of the BPR mean, the L2 term the lambda/B of Eq. 13.
+    const nn::Var bpr = st.scale(
+        st.reduce_sum(st.softplus(st.sub(neg_scores, pos_scores))),
+        inv_batch);
+    const nn::Var reg = st.scale(
+        st.reduce_sum(
+            st.add(st.add(st.square(u), st.square(p)), st.square(n))),
+        l2_coefficient * inv_batch);
+    const nn::Var loss = st.add(bpr, reg);
 
-      CfSlot& out = slots[s];
-      out.loss = static_cast<double>(st.value(loss)(0, 0));
-      st.backward(loss);
-      out.gu = grad_or_zero(st, u, size, rep.cols());
-      out.gp = grad_or_zero(st, p, size, rep.cols());
-      out.gn = grad_or_zero(st, n, size, rep.cols());
-    }
+    CfSlot& out = slots[begin / kCfSlotPairs];
+    out.loss = static_cast<double>(st.value(loss)(0, 0));
+    st.backward(loss);
+    out.gu = grad_or_zero(st, u, size, rep.cols());
+    out.gp = grad_or_zero(st, p, size, rep.cols());
+    out.gn = grad_or_zero(st, n, size, rep.cols());
   });
 
   // Slot-ordered reduction: the scatter below and the loss sum are the
@@ -207,41 +207,39 @@ float MinibatchTrainer::kg_step(TransR& transr, std::span<const KgEdge> batch,
   const float margin = transr.config().margin;
   const float inv_batch = 1.0f / static_cast<float>(batch.size());
 
-  pool_.run([&](std::size_t worker) {
-    for (std::size_t s = worker; s < slots.size(); s += pool_.size()) {
-      KgSlot& slot = slots[s];
-      const nn::Tensor& w_value =
-          transr.projection(slot.relation).value();
-      nn::Tensor e_row(1, relations.cols());
-      {
-        auto src = relations.row(slot.relation);
-        std::copy(src.begin(), src.end(), e_row.row(0).begin());
-      }
-      nn::Tape st;
-      const nn::Var w = st.input(w_value);
-      const nn::Var e_r = st.input(std::move(e_row));
-      const nn::Var h = st.input(gather_rows(entities, slot.heads));
-      const nn::Var t = st.input(gather_rows(entities, slot.tails));
-      const nn::Var n = st.input(gather_rows(entities, slot.negs));
-
-      const nn::Var head_projected = st.add_rowvec(st.matmul(h, w), e_r);
-      const nn::Var f_pos =
-          st.sum_cols(st.square(st.sub(head_projected, st.matmul(t, w))));
-      const nn::Var f_neg =
-          st.sum_cols(st.square(st.sub(head_projected, st.matmul(n, w))));
-      const nn::Var loss = st.scale(
-          st.reduce_sum(
-              st.relu(st.add_scalar(st.sub(f_pos, f_neg), margin))),
-          inv_batch);
-
-      slot.loss = static_cast<double>(st.value(loss)(0, 0));
-      st.backward(loss);
-      slot.gw = grad_or_zero(st, w, w_value.rows(), w_value.cols());
-      slot.ge = grad_or_zero(st, e_r, 1, relations.cols());
-      slot.gh = grad_or_zero(st, h, slot.heads.size(), entities.cols());
-      slot.gt = grad_or_zero(st, t, slot.tails.size(), entities.cols());
-      slot.gn = grad_or_zero(st, n, slot.negs.size(), entities.cols());
+  pool_.for_chunks(slots.size(), 1, [&](std::size_t s, std::size_t) {
+    KgSlot& slot = slots[s];
+    const nn::Tensor& w_value =
+        transr.projection(slot.relation).value();
+    nn::Tensor e_row(1, relations.cols());
+    {
+      auto src = relations.row(slot.relation);
+      std::copy(src.begin(), src.end(), e_row.row(0).begin());
     }
+    nn::Tape st;
+    const nn::Var w = st.input(w_value);
+    const nn::Var e_r = st.input(std::move(e_row));
+    const nn::Var h = st.input(gather_rows(entities, slot.heads));
+    const nn::Var t = st.input(gather_rows(entities, slot.tails));
+    const nn::Var n = st.input(gather_rows(entities, slot.negs));
+
+    const nn::Var head_projected = st.add_rowvec(st.matmul(h, w), e_r);
+    const nn::Var f_pos =
+        st.sum_cols(st.square(st.sub(head_projected, st.matmul(t, w))));
+    const nn::Var f_neg =
+        st.sum_cols(st.square(st.sub(head_projected, st.matmul(n, w))));
+    const nn::Var loss = st.scale(
+        st.reduce_sum(
+            st.relu(st.add_scalar(st.sub(f_pos, f_neg), margin))),
+        inv_batch);
+
+    slot.loss = static_cast<double>(st.value(loss)(0, 0));
+    st.backward(loss);
+    slot.gw = grad_or_zero(st, w, w_value.rows(), w_value.cols());
+    slot.ge = grad_or_zero(st, e_r, 1, relations.cols());
+    slot.gh = grad_or_zero(st, h, slot.heads.size(), entities.cols());
+    slot.gt = grad_or_zero(st, t, slot.tails.size(), entities.cols());
+    slot.gn = grad_or_zero(st, n, slot.negs.size(), entities.cols());
   });
 
   // Serial slot-ordered scatter into the parameter accumulators.

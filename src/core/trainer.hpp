@@ -37,8 +37,8 @@
 namespace ckat::core {
 
 /// Resolves the training worker-thread count: `requested` when
-/// positive, otherwise CKAT_TRAIN_THREADS, otherwise 1. Clamped to
-/// [1, 64].
+/// positive, otherwise CKAT_TRAIN_THREADS, otherwise the number of CPUs
+/// in the process's affinity mask. Clamped to [1, 64].
 int resolve_train_threads(int requested);
 
 /// Resolves the per-step BPR pair count: `requested` when positive,
@@ -50,7 +50,7 @@ class MinibatchTrainer {
  public:
   explicit MinibatchTrainer(int threads);
 
-  [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
+  /// Also runs the model's propagation tapes and attention refresh.
   [[nodiscard]] util::WorkerPool& pool() noexcept { return pool_; }
 
   /// One BPR step over pre-propagated representations. `tape` must hold

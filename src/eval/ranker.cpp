@@ -1,11 +1,8 @@
 #include "eval/ranker.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <exception>
-#include <mutex>
+#include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "eval/metrics.hpp"
 #include "obs/trace.hpp"
@@ -26,37 +23,11 @@ std::size_t resolve_eval_block(std::size_t requested) {
 }
 
 BatchRanker::BatchRanker(const Recommender& model, RankerConfig config)
-    : model_(model), config_(std::move(config)) {
-  config_.threads = resolve_eval_threads(config_.threads);
+    : model_(model),
+      config_(std::move(config)),
+      pool_(static_cast<std::size_t>(resolve_eval_threads(config_.threads))) {
+  config_.threads = static_cast<int>(pool_.size());
   config_.block_size = resolve_eval_block(config_.block_size);
-}
-
-void BatchRanker::rank_range(std::span<const std::uint32_t> users,
-                             std::size_t slot0, const MaskFn& mask,
-                             const VisitFn& visit) const {
-  const std::size_t n_items = model_.n_items();
-  const std::size_t block = std::min(config_.block_size, users.size());
-  // One score buffer and one top-K vector per shard, reused across
-  // blocks: the hot loop allocates nothing per user.
-  std::vector<float> scores(block * n_items);
-  std::vector<std::uint32_t> topk;
-  topk.reserve(config_.k);
-  for (std::size_t b0 = 0; b0 < users.size(); b0 += block) {
-    const std::size_t bn = std::min(block, users.size() - b0);
-    const auto chunk = users.subspan(b0, bn);
-    const auto block_scores = std::span<float>(scores).first(bn * n_items);
-    util::Timer score_timer;
-    model_.score_batch(chunk, block_scores);
-    if (config_.score_observer) {
-      config_.score_observer(score_timer.seconds(), bn);
-    }
-    for (std::size_t i = 0; i < bn; ++i) {
-      const auto row = block_scores.subspan(i * n_items, n_items);
-      if (mask) mask(chunk[i], row);
-      top_k_row(row, config_.k, topk);
-      visit(slot0 + b0 + i, chunk[i], topk);
-    }
-  }
 }
 
 void BatchRanker::rank(std::span<const std::uint32_t> users,
@@ -64,47 +35,37 @@ void BatchRanker::rank(std::span<const std::uint32_t> users,
   if (!visit) {
     throw std::invalid_argument("BatchRanker::rank: visit must be callable");
   }
-  if (users.empty()) return;
-  const auto n_threads =
-      std::min(static_cast<std::size_t>(config_.threads), users.size());
-  if (n_threads <= 1) {
-    rank_range(users, 0, mask, visit);
-    return;
-  }
-  // Contiguous shards under std::thread rather than an OpenMP team:
-  // the TSan CI job covers this code, and libgomp's barriers are not
-  // TSan-instrumented (false positives), while std::thread join gives
-  // a clean happens-before edge. See DESIGN.md §11.
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::vector<std::thread> workers;
-  workers.reserve(n_threads);
-  const std::size_t base = users.size() / n_threads;
-  const std::size_t extra = users.size() % n_threads;
-  // Capture the caller's trace lineage before fanning out so each
-  // shard's span joins the caller's per-request tree instead of
-  // rooting a disconnected trace on its own thread.
+  const std::size_t n_items = model_.n_items();
+  // Capture the caller's trace lineage so each block's span on a pool
+  // worker joins the caller's per-request tree instead of rooting a
+  // disconnected trace on its own thread.
   const obs::TraceContext trace_ctx = obs::current_trace_context();
-  std::size_t start = 0;
-  for (std::size_t t = 0; t < n_threads; ++t) {
-    const std::size_t len = base + (t < extra ? 1 : 0);
-    workers.emplace_back([this, shard = users.subspan(start, len), start, t,
-                          trace_ctx, &mask, &visit, &first_error,
-                          &error_mutex] {
-      obs::TraceSpan shard_span("ranker.shard", trace_ctx,
-                                {{"shard", std::to_string(t)},
-                                 {"users", std::to_string(shard.size())}});
-      try {
-        rank_range(shard, start, mask, visit);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-    start += len;
-  }
-  for (auto& worker : workers) worker.join();
-  if (first_error) std::rethrow_exception(first_error);
+  // One chunk per block: the block partition is fixed by block_size,
+  // never by the thread count.
+  pool_.for_chunks(users.size(), config_.block_size, [&](std::size_t b0,
+                                                         std::size_t b1) {
+    std::optional<obs::TraceSpan> block_span;
+    if (pool_.size() > 1) {
+      block_span.emplace("ranker.block", trace_ctx,
+                         obs::TraceAttrs{{"first_slot", std::to_string(b0)},
+                                         {"users", std::to_string(b1 - b0)}});
+    }
+    const auto block = users.subspan(b0, b1 - b0);
+    std::vector<float> scores(block.size() * n_items);
+    util::Timer score_timer;
+    model_.score_batch(block, scores);
+    if (config_.score_observer) {
+      config_.score_observer(score_timer.seconds(), block.size());
+    }
+    std::vector<std::uint32_t> topk;
+    topk.reserve(config_.k);
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      const auto row = std::span<float>(scores).subspan(i * n_items, n_items);
+      if (mask) mask(block[i], row);
+      top_k_row(row, config_.k, topk);
+      visit(b0 + i, block[i], topk);
+    }
+  });
 }
 
 std::vector<std::vector<std::uint32_t>> BatchRanker::top_k(

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "eval/recommender.hpp"
+#include "util/parallel.hpp"
 
 namespace ckat::eval {
 
@@ -22,7 +23,7 @@ struct RankerConfig {
   /// (default 64). Larger blocks amortize the item-table memory traffic
   /// across more users; smaller blocks shrink the score buffer.
   std::size_t block_size = 0;
-  /// Worker threads for the user loop. 0 = read CKAT_EVAL_THREADS
+  /// Pool workers for the user blocks. 0 = read CKAT_EVAL_THREADS
   /// (default 1). Threads > 1 requires the model's score_batch /
   /// score_items to be safe for concurrent const calls —
   /// serve::ResilientRecommender is NOT (see resilient.hpp), which is
@@ -62,13 +63,16 @@ class BatchRanker {
   /// Keeps a reference to `model`; the model must outlive the ranker.
   /// Zero config fields are resolved from the environment here, once,
   /// so one ranker ranks consistently even if the env changes later.
+  /// Owns a util::WorkerPool of config.threads workers.
   BatchRanker(const Recommender& model, RankerConfig config);
 
-  /// Ranks every user in `users` (duplicates allowed): partitions the
-  /// span into contiguous per-thread shards, scores each shard in
-  /// blocks of block_size, masks, reduces to top-K, and calls `visit`.
+  /// Ranks every user in `users` (duplicates allowed): cuts the span
+  /// into blocks of block_size, runs the blocks on the ranker's pool
+  /// (score, mask, reduce to top-K), and calls `visit` per user.
   /// `mask` may be empty (no masking). Exceptions thrown by the model,
   /// mask, or visit on any thread are rethrown on the caller.
+  /// With threads > 1, one call at a time per ranker: a concurrent call
+  /// throws std::logic_error (util::WorkerPool::run).
   void rank(std::span<const std::uint32_t> users, const MaskFn& mask,
             const VisitFn& visit) const;
 
@@ -82,11 +86,10 @@ class BatchRanker {
   }
 
  private:
-  void rank_range(std::span<const std::uint32_t> users, std::size_t slot0,
-                  const MaskFn& mask, const VisitFn& visit) const;
-
   const Recommender& model_;
   RankerConfig config_;
+  // Execution resource only: rank() stays logically const.
+  mutable util::WorkerPool pool_;
 };
 
 }  // namespace ckat::eval

@@ -22,13 +22,7 @@
 
 #include <atomic>
 
-#ifdef CKAT_PROFILE_KERNELS
-#include <chrono>
-#include <cstdint>
-
-#include "obs/metric_names.hpp"
-#include "obs/metrics.hpp"
-#endif
+#include "util/parallel.hpp"
 
 namespace ckat::nn {
 
@@ -43,99 +37,73 @@ void check_gemm_shapes(std::size_t am, std::size_t ak, std::size_t bk,
   }
 }
 
-#ifdef CKAT_PROFILE_KERNELS
-// Op-level cycle accounting, compiled in only with
-// -DCKAT_PROFILE_KERNELS=ON so the default build stays zero-cost (not
-// even a branch). Exposed as ckat_kernel_calls_total{op=...} and
-// ckat_kernel_cycles_total{op=...}; cycles come from rdtsc on x86-64
-// (nanoseconds elsewhere, close enough for relative op cost).
-inline std::uint64_t kernel_ticks() {
-#if defined(__x86_64__)
-  return __builtin_ia32_rdtsc();
-#else
-  return static_cast<std::uint64_t>(
-      std::chrono::steady_clock::now().time_since_epoch().count());
-#endif
-}
+// Chunk widths for the pool fan-out. Constants, never derived from the
+// pool size: every output row (element, for axpy) is computed whole by
+// one thread, so the width sets only the scheduling grain.
+constexpr std::size_t kGemmRowChunk = 16;
+constexpr std::size_t kSpmmRowChunk = 64;
+constexpr std::size_t kAxpyChunk = 16384;
 
-struct KernelCounters {
-  obs::Counter& calls;
-  obs::Counter& cycles;
-
-  explicit KernelCounters(const char* op)
-      : calls(obs::MetricsRegistry::global().counter(
-            obs::metric_names::kKernelCallsTotal, {{"op", op}})),
-        cycles(obs::MetricsRegistry::global().counter(
-            obs::metric_names::kKernelCyclesTotal, {{"op", op}})) {}
-};
-
-class KernelScope {
- public:
-  explicit KernelScope(KernelCounters& counters)
-      : counters_(counters), start_(kernel_ticks()) {}
-  ~KernelScope() {
-    counters_.calls.inc();
-    counters_.cycles.inc(kernel_ticks() - start_);
+// Runs fn over [0, n) in `chunk`-wide pieces on `pool`, or in one
+// serial call when there is no pool or the work is not `worth` it.
+void for_rows(util::WorkerPool* pool, bool worth, std::size_t n,
+              std::size_t chunk,
+              const std::function<void(std::size_t, std::size_t)>& fn) {
+  if (pool != nullptr && worth) {
+    pool->for_chunks(n, chunk, fn);
+  } else {
+    fn(0, n);
   }
-  KernelScope(const KernelScope&) = delete;
-  KernelScope& operator=(const KernelScope&) = delete;
-
- private:
-  KernelCounters& counters_;
-  std::uint64_t start_;
-};
-
-#define CKAT_KERNEL_SCOPE(op)                         \
-  static KernelCounters kernel_counters_static(op);   \
-  KernelScope kernel_scope_instance(kernel_counters_static)
-#else
-#define CKAT_KERNEL_SCOPE(op) ((void)0)
-#endif
+}
 }  // namespace
 
 void gemm(const Tensor& a, const Tensor& b, Tensor& out, float alpha,
-          bool accumulate) {
-  CKAT_KERNEL_SCOPE("gemm");
+          bool accumulate, util::WorkerPool* pool) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   check_gemm_shapes(m, k, b.rows(), n, out, "gemm");
   if (!accumulate) out.zero();
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-#pragma omp parallel for schedule(static) if (m * n * k > 16384)
-  for (std::size_t i = 0; i < m; ++i) {
-    float* orow = po + i * n;
-    const float* arow = pa + i * k;
-    // i-k-j loop order streams B rows; the j-loop vectorizes.
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aik = alpha * arow[kk];
-      if (aik == 0.0f) continue;
-      const float* brow = pb + kk * n;
-      for (std::size_t j = 0; j < n; ++j) orow[j] += aik * brow[j];
-    }
-  }
+  for_rows(pool, m * n * k > 16384, m, kGemmRowChunk,
+           [&](std::size_t begin, std::size_t end) {
+             for (std::size_t i = begin; i < end; ++i) {
+               float* orow = po + i * n;
+               const float* arow = pa + i * k;
+               // i-k-j loop order streams B rows; the j-loop vectorizes.
+               for (std::size_t kk = 0; kk < k; ++kk) {
+                 const float aik = alpha * arow[kk];
+                 if (aik == 0.0f) continue;
+                 const float* brow = pb + kk * n;
+                 for (std::size_t j = 0; j < n; ++j) orow[j] += aik * brow[j];
+               }
+             }
+           });
 }
 
 void gemm_nt(const Tensor& a, const Tensor& b, Tensor& out, float alpha,
-             bool accumulate) {
-  CKAT_KERNEL_SCOPE("gemm_nt");
+             bool accumulate, util::WorkerPool* pool) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   check_gemm_shapes(m, k, b.cols(), n, out, "gemm_nt");
   if (!accumulate) out.zero();
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-#pragma omp parallel for schedule(static) if (m * n * k > 16384)
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = pa + i * k;
-    float* orow = po + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = pb + j * k;
-      float acc = 0.0f;
-      for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      orow[j] += alpha * acc;
-    }
-  }
+  for_rows(pool, m * n * k > 16384, m, kGemmRowChunk,
+           [&](std::size_t begin, std::size_t end) {
+             for (std::size_t i = begin; i < end; ++i) {
+               const float* arow = pa + i * k;
+               float* orow = po + i * n;
+               for (std::size_t j = 0; j < n; ++j) {
+                 const float* brow = pb + j * k;
+                 float acc = 0.0f;
+                 for (std::size_t kk = 0; kk < k; ++kk) {
+                   acc += arow[kk] * brow[kk];
+                 }
+                 orow[j] += alpha * acc;
+               }
+             }
+           });
 }
 
 namespace {
@@ -203,7 +171,6 @@ GemmIsa active_gemm_isa() noexcept {
 void gemm_nt_into(std::span<const float> a, std::size_t m, std::size_t k,
                   std::span<const float> b, std::size_t n,
                   std::span<float> out) {
-  CKAT_KERNEL_SCOPE("gemm_nt_into");
   if (a.size() != m * k || b.size() != n * k) {
     throw std::invalid_argument("gemm_nt_into: input size mismatch");
   }
@@ -301,8 +268,7 @@ void gemm_nt_into(std::span<const float> a, std::size_t m, std::size_t k,
 }
 
 void gemm_tn(const Tensor& a, const Tensor& b, Tensor& out, float alpha,
-             bool accumulate) {
-  CKAT_KERNEL_SCOPE("gemm_tn");
+             bool accumulate, util::WorkerPool* pool) {
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
   check_gemm_shapes(m, k, b.rows(), n, out, "gemm_tn");
   if (!accumulate) out.zero();
@@ -311,26 +277,30 @@ void gemm_tn(const Tensor& a, const Tensor& b, Tensor& out, float alpha,
   float* po = out.data();
   // Serial over k with rank-1 updates; rows of out are touched by every
   // k-step, so parallelism here goes over output rows via chunking m.
-#pragma omp parallel for schedule(static) if (m * n * k > 16384)
-  for (std::size_t i = 0; i < m; ++i) {
-    float* orow = po + i * n;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aki = alpha * pa[kk * m + i];
-      if (aki == 0.0f) continue;
-      const float* brow = pb + kk * n;
-      for (std::size_t j = 0; j < n; ++j) orow[j] += aki * brow[j];
-    }
-  }
+  for_rows(pool, m * n * k > 16384, m, kGemmRowChunk,
+           [&](std::size_t begin, std::size_t end) {
+             for (std::size_t i = begin; i < end; ++i) {
+               float* orow = po + i * n;
+               for (std::size_t kk = 0; kk < k; ++kk) {
+                 const float aki = alpha * pa[kk * m + i];
+                 if (aki == 0.0f) continue;
+                 const float* brow = pb + kk * n;
+                 for (std::size_t j = 0; j < n; ++j) orow[j] += aki * brow[j];
+               }
+             }
+           });
 }
 
-void axpy(float alpha, const Tensor& x, Tensor& y) {
-  CKAT_KERNEL_SCOPE("axpy");
+void axpy(float alpha, const Tensor& x, Tensor& y, util::WorkerPool* pool) {
   if (!x.same_shape(y)) throw std::invalid_argument("axpy: shape mismatch");
   const float* px = x.data();
   float* py = y.data();
   const std::size_t n = x.size();
-#pragma omp parallel for schedule(static) if (n > 65536)
-  for (std::size_t i = 0; i < n; ++i) py[i] += alpha * px[i];
+  for_rows(pool, n > 65536, n, kAxpyChunk,
+           [px, py, alpha](std::size_t begin, std::size_t end) {
+             const float a = alpha;  // a local the stores cannot alias
+             for (std::size_t i = begin; i < end; ++i) py[i] += a * px[i];
+           });
 }
 
 CsrMatrix CsrMatrix::transposed() const {
@@ -420,8 +390,8 @@ CsrMatrix csr_from_coo(std::size_t n_rows, std::size_t n_cols,
   return m;
 }
 
-void spmm(const CsrMatrix& a, const Tensor& x, Tensor& out, bool accumulate) {
-  CKAT_KERNEL_SCOPE("spmm");
+void spmm(const CsrMatrix& a, const Tensor& x, Tensor& out, bool accumulate,
+          util::WorkerPool* pool) {
   if (x.rows() != a.n_cols) {
     throw std::invalid_argument("spmm: X rows must equal A cols");
   }
@@ -432,15 +402,19 @@ void spmm(const CsrMatrix& a, const Tensor& x, Tensor& out, bool accumulate) {
   const std::size_t d = x.cols();
   const float* px = x.data();
   float* po = out.data();
-#pragma omp parallel for schedule(dynamic, 64) if (a.nnz() * d > 65536)
-  for (std::size_t r = 0; r < a.n_rows; ++r) {
-    float* orow = po + r * d;
-    for (std::int64_t k = a.row_offsets[r]; k < a.row_offsets[r + 1]; ++k) {
-      const float v = a.values[k];
-      const float* xrow = px + static_cast<std::size_t>(a.col_indices[k]) * d;
-      for (std::size_t j = 0; j < d; ++j) orow[j] += v * xrow[j];
-    }
-  }
+  for_rows(pool, a.nnz() * d > 65536, a.n_rows, kSpmmRowChunk,
+           [&](std::size_t begin, std::size_t end) {
+             for (std::size_t r = begin; r < end; ++r) {
+               float* orow = po + r * d;
+               for (std::int64_t k = a.row_offsets[r];
+                    k < a.row_offsets[r + 1]; ++k) {
+                 const float v = a.values[k];
+                 const float* xrow =
+                     px + static_cast<std::size_t>(a.col_indices[k]) * d;
+                 for (std::size_t j = 0; j < d; ++j) orow[j] += v * xrow[j];
+               }
+             }
+           });
 }
 
 }  // namespace ckat::nn

@@ -1,6 +1,7 @@
-// Numeric kernels shared by forward and backward passes. All kernels are
-// OpenMP-parallel over rows where the work justifies it; on a single core
-// they degrade to clean serial loops.
+// Numeric kernels shared by forward and backward passes. gemm, gemm_nt,
+// gemm_tn, axpy and spmm split their output rows across an optional
+// util::WorkerPool when the work justifies it; each output element is
+// computed whole by one thread, so the pool never changes a bit.
 #pragma once
 
 #include <cstdint>
@@ -9,16 +10,21 @@
 
 #include "nn/tensor.hpp"
 
+namespace ckat::util {
+class WorkerPool;
+}  // namespace ckat::util
+
 namespace ckat::nn {
 
 /// out (+)= alpha * A @ B.  A: (m,k), B: (k,n), out: (m,n).
 /// If accumulate is false, out is overwritten.
 void gemm(const Tensor& a, const Tensor& b, Tensor& out, float alpha = 1.0f,
-          bool accumulate = false);
+          bool accumulate = false, util::WorkerPool* pool = nullptr);
 
 /// out (+)= alpha * A @ B^T.  A: (m,k), B: (n,k), out: (m,n).
 void gemm_nt(const Tensor& a, const Tensor& b, Tensor& out,
-             float alpha = 1.0f, bool accumulate = false);
+             float alpha = 1.0f, bool accumulate = false,
+             util::WorkerPool* pool = nullptr);
 
 /// Instruction set used by the tiled gemm_nt_into kernel. kAuto picks
 /// the widest path the host supports (detected once via cpuid). Every
@@ -43,18 +49,20 @@ void set_gemm_isa(GemmIsa isa);
 /// memory once per *block* instead of once per user; each output is an
 /// independent dot product accumulated in index order, so results are
 /// bit-identical to a per-user score_items loop. Deliberately serial:
-/// callers parallelize across user sub-blocks (see BatchRanker), and a
-/// nested OpenMP team here would oversubscribe their threads.
+/// callers parallelize across user blocks (see BatchRanker), which
+/// already occupy every worker.
 void gemm_nt_into(std::span<const float> a, std::size_t m, std::size_t k,
                   std::span<const float> b, std::size_t n,
                   std::span<float> out);
 
 /// out (+)= alpha * A^T @ B.  A: (k,m), B: (k,n), out: (m,n).
 void gemm_tn(const Tensor& a, const Tensor& b, Tensor& out,
-             float alpha = 1.0f, bool accumulate = false);
+             float alpha = 1.0f, bool accumulate = false,
+             util::WorkerPool* pool = nullptr);
 
 /// y += alpha * x (shapes must match).
-void axpy(float alpha, const Tensor& x, Tensor& y);
+void axpy(float alpha, const Tensor& x, Tensor& y,
+          util::WorkerPool* pool = nullptr);
 
 /// Compressed sparse row matrix with float coefficients. Used for the
 /// attention-weighted propagation (A_att @ E) in CKAT and for uniform
@@ -84,6 +92,6 @@ CsrMatrix csr_from_coo(std::size_t n_rows, std::size_t n_cols,
 
 /// out (+)= A @ X where A is sparse (n_rows, n_cols) and X is (n_cols, d).
 void spmm(const CsrMatrix& a, const Tensor& x, Tensor& out,
-          bool accumulate = false);
+          bool accumulate = false, util::WorkerPool* pool = nullptr);
 
 }  // namespace ckat::nn

@@ -1,6 +1,5 @@
 #include "nn/optim.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -97,18 +96,16 @@ void AdamOptimizer::step(ParamStore& params, util::WorkerPool& pool) {
     }
   }
 
-  // Contiguous shards: each (param, row) is updated by exactly one
+  // Fixed-width chunks: each (param, row) is updated by exactly one
   // worker and rows never share state, so scheduling cannot change any
   // result bit.
-  const std::size_t workers = pool.size();
-  const std::size_t chunk = (work.size() + workers - 1) / workers;
-  pool.run([&](std::size_t w) {
-    const std::size_t begin = w * chunk;
-    const std::size_t end = std::min(work.size(), begin + chunk);
-    for (std::size_t i = begin; i < end; ++i) {
-      update_row(*work[i].first, work[i].second, bc1, bc2);
-    }
-  });
+  constexpr std::size_t kRowsPerChunk = 64;
+  pool.for_chunks(work.size(), kRowsPerChunk,
+                  [&](std::size_t begin, std::size_t end) {
+                    for (std::size_t i = begin; i < end; ++i) {
+                      update_row(*work[i].first, work[i].second, bc1, bc2);
+                    }
+                  });
 
   for (auto& p : params) {
     if (p->has_any_grad()) p->zero_grad();

@@ -42,12 +42,12 @@ class AdamOptimizer final : public Optimizer {
 
   void step(ParamStore& params) override;
 
-  /// Parallel variant: shards the (parameter, row) work list across the
-  /// pool's workers. Each row's moment/value update touches only that
-  /// row, so updates are independent and the result is bit-identical to
-  /// the serial step() at every pool size -- the work list is built in
-  /// deterministic (creation, touch) order and sharded contiguously,
-  /// and no floating-point reduction crosses a row boundary.
+  /// Parallel variant: splits the (parameter, row) work list into
+  /// fixed-width chunks across the pool. Each row's moment/value update
+  /// touches only that row, so updates are independent and the result
+  /// is bit-identical to the serial step() at every pool size -- the
+  /// work list is built in deterministic (creation, touch) order, and
+  /// no floating-point reduction crosses a row boundary.
   void step(ParamStore& params, util::WorkerPool& pool);
 
   [[nodiscard]] float learning_rate() const noexcept { return lr_; }

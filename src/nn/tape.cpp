@@ -75,7 +75,7 @@ Var Tape::param(Parameter& p) {
   Parameter* pp = &p;
   Var out{static_cast<std::uint32_t>(nodes_.size())};
   return push(std::move(copy), true, [out, pp](Tape& t) {
-    axpy(1.0f, t.node(out).grad, pp->grad());
+    axpy(1.0f, t.node(out).grad, pp->grad(), t.pool_);
     pp->mark_dense();
   });
 }
@@ -112,16 +112,16 @@ Var Tape::matmul(Var a, Var b) {
   const Tensor& av = node(a).value;
   const Tensor& bv = node(b).value;
   Tensor out_value(av.rows(), bv.cols());
-  gemm(av, bv, out_value);
+  gemm(av, bv, out_value, 1.0f, false, pool_);
   const bool rg = node(a).requires_grad || node(b).requires_grad;
   Var out{static_cast<std::uint32_t>(nodes_.size())};
   return push(std::move(out_value), rg, [out, a, b](Tape& t) {
     const Tensor& g = t.node(out).grad;
     if (t.node(a).requires_grad) {
-      gemm_nt(g, t.node(b).value, t.ensure_grad(a), 1.0f, true);
+      gemm_nt(g, t.node(b).value, t.ensure_grad(a), 1.0f, true, t.pool_);
     }
     if (t.node(b).requires_grad) {
-      gemm_tn(t.node(a).value, g, t.ensure_grad(b), 1.0f, true);
+      gemm_tn(t.node(a).value, g, t.ensure_grad(b), 1.0f, true, t.pool_);
     }
   });
 }
@@ -130,16 +130,16 @@ Var Tape::matmul_nt(Var a, Var b) {
   const Tensor& av = node(a).value;
   const Tensor& bv = node(b).value;
   Tensor out_value(av.rows(), bv.rows());
-  gemm_nt(av, bv, out_value);
+  gemm_nt(av, bv, out_value, 1.0f, false, pool_);
   const bool rg = node(a).requires_grad || node(b).requires_grad;
   Var out{static_cast<std::uint32_t>(nodes_.size())};
   return push(std::move(out_value), rg, [out, a, b](Tape& t) {
     const Tensor& g = t.node(out).grad;  // (m,n); a:(m,k) b:(n,k)
     if (t.node(a).requires_grad) {
-      gemm(g, t.node(b).value, t.ensure_grad(a), 1.0f, true);
+      gemm(g, t.node(b).value, t.ensure_grad(a), 1.0f, true, t.pool_);
     }
     if (t.node(b).requires_grad) {
-      gemm_tn(g, t.node(a).value, t.ensure_grad(b), 1.0f, true);
+      gemm_tn(g, t.node(a).value, t.ensure_grad(b), 1.0f, true, t.pool_);
     }
   });
 }
@@ -148,13 +148,14 @@ Var Tape::spmm_fixed(const CsrMatrix& a, const CsrMatrix& a_transposed,
                      Var x) {
   const Tensor& xv = node(x).value;
   Tensor out_value(a.n_rows, xv.cols());
-  spmm(a, xv, out_value);
+  spmm(a, xv, out_value, false, pool_);
   const bool rg = node(x).requires_grad;
   const CsrMatrix* at = &a_transposed;
   Var out{static_cast<std::uint32_t>(nodes_.size())};
   return push(std::move(out_value), rg, [out, x, at](Tape& t) {
     if (t.node(x).requires_grad) {
-      spmm(*at, t.node(out).grad, t.ensure_grad(x), /*accumulate=*/true);
+      spmm(*at, t.node(out).grad, t.ensure_grad(x), /*accumulate=*/true,
+           t.pool_);
     }
   });
 }
@@ -166,13 +167,13 @@ Var Tape::add(Var a, Var b) {
   const Tensor& bv = node(b).value;
   check_same_shape(av, bv, "add");
   Tensor out_value = av;
-  axpy(1.0f, bv, out_value);
+  axpy(1.0f, bv, out_value, pool_);
   const bool rg = node(a).requires_grad || node(b).requires_grad;
   Var out{static_cast<std::uint32_t>(nodes_.size())};
   return push(std::move(out_value), rg, [out, a, b](Tape& t) {
     const Tensor& g = t.node(out).grad;
-    if (t.node(a).requires_grad) axpy(1.0f, g, t.ensure_grad(a));
-    if (t.node(b).requires_grad) axpy(1.0f, g, t.ensure_grad(b));
+    if (t.node(a).requires_grad) axpy(1.0f, g, t.ensure_grad(a), t.pool_);
+    if (t.node(b).requires_grad) axpy(1.0f, g, t.ensure_grad(b), t.pool_);
   });
 }
 
@@ -181,13 +182,13 @@ Var Tape::sub(Var a, Var b) {
   const Tensor& bv = node(b).value;
   check_same_shape(av, bv, "sub");
   Tensor out_value = av;
-  axpy(-1.0f, bv, out_value);
+  axpy(-1.0f, bv, out_value, pool_);
   const bool rg = node(a).requires_grad || node(b).requires_grad;
   Var out{static_cast<std::uint32_t>(nodes_.size())};
   return push(std::move(out_value), rg, [out, a, b](Tape& t) {
     const Tensor& g = t.node(out).grad;
-    if (t.node(a).requires_grad) axpy(1.0f, g, t.ensure_grad(a));
-    if (t.node(b).requires_grad) axpy(-1.0f, g, t.ensure_grad(b));
+    if (t.node(a).requires_grad) axpy(1.0f, g, t.ensure_grad(a), t.pool_);
+    if (t.node(b).requires_grad) axpy(-1.0f, g, t.ensure_grad(b), t.pool_);
   });
 }
 
@@ -226,7 +227,9 @@ Var Tape::scale(Var a, float s) {
   const bool rg = node(a).requires_grad;
   Var out{static_cast<std::uint32_t>(nodes_.size())};
   return push(std::move(out_value), rg, [out, a, s](Tape& t) {
-    if (t.node(a).requires_grad) axpy(s, t.node(out).grad, t.ensure_grad(a));
+    if (t.node(a).requires_grad) {
+      axpy(s, t.node(out).grad, t.ensure_grad(a), t.pool_);
+    }
   });
 }
 
@@ -237,7 +240,7 @@ Var Tape::add_scalar(Var a, float s) {
   Var out{static_cast<std::uint32_t>(nodes_.size())};
   return push(std::move(out_value), rg, [out, a](Tape& t) {
     if (t.node(a).requires_grad) {
-      axpy(1.0f, t.node(out).grad, t.ensure_grad(a));
+      axpy(1.0f, t.node(out).grad, t.ensure_grad(a), t.pool_);
     }
   });
 }
@@ -353,7 +356,7 @@ Var Tape::add_rowvec(Var a, Var bias) {
   Var out{static_cast<std::uint32_t>(nodes_.size())};
   return push(std::move(out_value), rg, [out, a, bias](Tape& t) {
     const Tensor& g = t.node(out).grad;
-    if (t.node(a).requires_grad) axpy(1.0f, g, t.ensure_grad(a));
+    if (t.node(a).requires_grad) axpy(1.0f, g, t.ensure_grad(a), t.pool_);
     if (t.node(bias).requires_grad) {
       Tensor& gb = t.ensure_grad(bias);
       for (std::size_t r = 0; r < g.rows(); ++r) {
@@ -726,7 +729,7 @@ void Tape::backward_seeded(Var from, const Tensor& seed) {
         "backward_seeded: node does not require gradients");
   }
   check_same_shape(fn.value, seed, "backward_seeded");
-  axpy(1.0f, seed, ensure_grad(from));
+  axpy(1.0f, seed, ensure_grad(from), pool_);
   for (std::size_t i = static_cast<std::size_t>(from.idx) + 1; i-- > 0;) {
     Node& n = nodes_[i];
     if (n.requires_grad && n.grad_ready && n.backward_fn) {

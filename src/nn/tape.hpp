@@ -13,7 +13,9 @@
 //                               scatter-adds into p.grad() and records the
 //                               touched rows for the sparse optimizer.
 //
-// The tape is built fresh per training step and clear()ed afterwards.
+// The tape is built fresh per training step and clear()ed afterwards. It
+// may carry a util::WorkerPool for its gemm/spmm/axpy kernels; leave it
+// unset on tapes that already run inside a pool job (slot tapes).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +40,8 @@ struct Var {
 
 class Tape {
  public:
-  Tape() = default;
+  /// `pool` (optional, not owned) must outlive the tape.
+  explicit Tape(util::WorkerPool* pool = nullptr) : pool_(pool) {}
   Tape(const Tape&) = delete;
   Tape& operator=(const Tape&) = delete;
 
@@ -164,6 +167,7 @@ class Tape {
   /// Ensures the node's grad tensor exists (zeroed) and returns it.
   Tensor& ensure_grad(Var v);
 
+  util::WorkerPool* pool_;
   std::vector<Node> nodes_;
 };
 

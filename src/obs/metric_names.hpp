@@ -16,11 +16,6 @@ namespace ckat::obs::metric_names {
 // Fault injection (src/util/fault.cpp), labeled {point}.
 inline constexpr const char* kFaultFiredTotal = "ckat_fault_fired_total";
 
-// nn kernel cycle counters (src/nn/kernels.cpp, CKAT_PROFILE_KERNELS
-// builds only), labeled {op}.
-inline constexpr const char* kKernelCallsTotal = "ckat_kernel_calls_total";
-inline constexpr const char* kKernelCyclesTotal = "ckat_kernel_cycles_total";
-
 // CKAT training loop (src/core/ckat.cpp).
 inline constexpr const char* kTrainCfStepSeconds = "ckat_train_cf_step_seconds";
 inline constexpr const char* kTrainKgStepSeconds = "ckat_train_kg_step_seconds";

@@ -13,7 +13,7 @@
 // across the queue, and the worker adopts it by constructing a
 // TraceSpan from the context. Adopted spans join the worker thread's
 // open-span stack, so everything instrumented below them (tier walk,
-// ranker shards, events) inherits the trace id with no further
+// ranker blocks, events) inherits the trace id with no further
 // plumbing. finish_trace() closes the request for tail-based sampling:
 // with CKAT_TRACE_SAMPLE=N > 1 armed, traces flagged kKeep
 // (slow/error/shed) are always written while the rest keep only a
@@ -100,7 +100,7 @@ void finish_trace(const TraceContext& context, TraceVerdict verdict);
 
 /// Context of the innermost span open on the calling thread (inactive
 /// when none is open or tracing is disabled). Use to forward lineage
-/// into worker threads you spawn yourself (e.g. ranker shards).
+/// into pool jobs and threads you start yourself (e.g. ranker blocks).
 [[nodiscard]] TraceContext current_trace_context() noexcept;
 
 /// Routes trace output to `path` (empty disables the file sink).

@@ -1,21 +1,22 @@
-// A small reusable worker pool for deterministic data-parallel loops.
+// The one data-parallel runtime: a small reusable worker pool.
 //
-// The training engine (core/trainer.hpp) and the sparse optimizer
-// (nn/optim.hpp) need "run f(worker) on W workers and wait" semantics
-// with three properties OpenMP does not give us here:
+// The nn kernels (nn/kernels.hpp, via nn::Tape), the training engine
+// (core/trainer.hpp), the sparse optimizer (nn/optim.hpp) and the
+// batched ranker (eval/ranker.hpp) all fan out through for_chunks(),
+// which gives them three properties:
 //
-//   - std::thread workers, so ThreadSanitizer instruments every access
-//     (libgomp's barrier is opaque to TSan and drowns CI in false
-//     positives);
+//   - std::thread workers parked on a condition variable, so a pool
+//     never spin-waits and processes sharing CPUs do not collapse, and
+//     ThreadSanitizer instruments every access;
 //   - the calling thread participates as worker 0, so a pool of size 1
 //     never context-switches and the serial path is the parallel path;
 //   - exceptions thrown by any worker are captured and rethrown on the
-//     caller, first-worker-wins, after every worker has parked.
+//     caller after every worker has parked.
 //
 // Determinism contract: the pool only provides *execution*; callers
 // must make the result independent of scheduling by writing to
-// disjoint, slot-indexed storage and reducing in slot order (the same
-// contract BatchRanker proves for ranking, DESIGN.md section 16).
+// disjoint, chunk- or slot-indexed storage and reducing in slot order
+// (DESIGN.md section 16).
 #pragma once
 
 #include <condition_variable>
@@ -28,6 +29,10 @@
 #include "util/lockorder.hpp"
 
 namespace ckat::util {
+
+/// CPUs in the calling process's affinity mask (at least 1): the
+/// default worker count where no thread count is configured.
+[[nodiscard]] std::size_t affinity_cpu_count();
 
 class WorkerPool {
  public:
@@ -45,9 +50,22 @@ class WorkerPool {
   /// Runs fn(worker) for worker in [0, size()) -- worker 0 on the
   /// calling thread -- and returns once all invocations finish. If any
   /// invocation throws, the lowest-indexed worker's exception is
-  /// rethrown after the barrier. Not reentrant: fn must not call run()
-  /// on the same pool.
+  /// rethrown after the barrier. One job at a time: with size() > 1, a
+  /// run() that finds a job in flight -- called from inside one of the
+  /// pool's own jobs, or from a second thread -- throws
+  /// std::logic_error instead of corrupting the barrier.
   void run(const std::function<void(std::size_t)>& fn);
+
+  /// Calls fn(begin, end) for each chunk of [0, n): consecutive ranges
+  /// of `chunk` indices, the last possibly shorter. `chunk` must be a
+  /// caller constant, never derived from size(), so the partition is
+  /// the same at every pool size. Workers claim chunks in any order, so
+  /// fn must write only chunk-indexed storage. A single chunk, or a
+  /// pool of size 1, runs in chunk order on the calling thread without
+  /// waking a worker; otherwise this is a run(). Throws
+  /// std::invalid_argument when chunk is 0.
+  void for_chunks(std::size_t n, std::size_t chunk,
+                  const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
   void worker_loop(std::size_t worker);

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,12 @@ struct OpProgram {
   const char* name;
   Builder build;
 };
+
+// gtest prints each parameter next to the test name it lists, and CTest
+// registers that listing verbatim. The default byte dump would embed
+// this run's pointer values; printing the op name keeps test names the
+// same from build to build.
+void PrintTo(const OpProgram& op, std::ostream* os) { *os << op.name; }
 
 // Inputs: x0 (4,3), x1 (3,5), x2 (4,3).
 std::vector<OpProgram> op_programs() {

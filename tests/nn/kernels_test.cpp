@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
 
 #include "nn/init.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace ckat::nn {
@@ -192,6 +194,49 @@ TEST(Csr, SpmmRejectsShapeMismatch) {
                              std::vector<float>{1.0f});
   Tensor x(3, 2), out(2, 2);
   EXPECT_THROW(spmm(m, x, out), std::invalid_argument);
+}
+
+// Above their fan-out thresholds the kernels split rows across the
+// pool; every row is still computed whole by one thread, so the result
+// must be bit-identical to the pool-less call (shapes chosen so the last
+// chunk is partial).
+TEST(KernelPool, PooledKernelsBitIdenticalToSerial) {
+  util::Rng rng(99);
+  Tensor a(203, 40), b(40, 37), bt(37, 40), at(40, 203), x(203, 37);
+  for (Tensor* t : {&a, &b, &bt, &at, &x}) uniform_init(*t, rng, -1.0, 1.0);
+  Tensor big_x(1000, 70), big_y(1000, 70);
+  uniform_init(big_x, rng, -1.0, 1.0);
+  uniform_init(big_y, rng, -1.0, 1.0);
+  std::vector<std::uint32_t> rows, cols;
+  std::vector<float> vals;
+  for (int i = 0; i < 4000; ++i) {
+    rows.push_back(static_cast<std::uint32_t>(rng.uniform_index(203)));
+    cols.push_back(static_cast<std::uint32_t>(rng.uniform_index(203)));
+    vals.push_back(rng.uniform_float());
+  }
+  const CsrMatrix sparse = csr_from_coo(203, 203, rows, cols, vals);
+
+  const auto run_all = [&](util::WorkerPool* pool) {
+    std::vector<Tensor> out = {Tensor(203, 37), Tensor(203, 37),
+                               Tensor(203, 37), Tensor(203, 37), big_y};
+    gemm(a, b, out[0], 0.5f, false, pool);
+    gemm_nt(a, bt, out[1], 1.0f, false, pool);
+    gemm_tn(at, b, out[2], 1.0f, false, pool);
+    spmm(sparse, x, out[3], false, pool);
+    axpy(-0.25f, big_x, out[4], pool);
+    return out;
+  };
+  const std::vector<Tensor> serial = run_all(nullptr);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    util::WorkerPool pool(threads);
+    const std::vector<Tensor> pooled = run_all(&pool);
+    for (std::size_t op = 0; op < serial.size(); ++op) {
+      ASSERT_EQ(std::memcmp(pooled[op].data(), serial[op].data(),
+                            serial[op].size() * sizeof(float)),
+                0)
+          << "op " << op << " threads " << threads;
+    }
+  }
 }
 
 // ---- ISA dispatch for the tiled gemm_nt_into kernel ----

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "nn/kernels.hpp"
 #include "util/rng.hpp"
@@ -31,6 +32,10 @@ struct OpCase {
   const char* name;
   LossBuilder build;
 };
+
+// Printed by name, not as a byte dump holding this run's pointer values,
+// so the test names gtest lists and CTest registers are stable.
+void PrintTo(const OpCase& op, std::ostream* os) { *os << op.name; }
 
 /// Shared sparse matrix (3x4) for spmm cases.
 const CsrMatrix& test_csr() {

@@ -1,5 +1,7 @@
 // Fixture: reasoned ckat NOLINT suppresses the diagnostic (both the
-// same-line and NEXTLINE spellings).
+// same-line and NEXTLINE spellings). Prose naming the syntax with a
+// wildcard, NOLINT(ckat-*) or NOLINTNEXTLINE(ckat-*), is no suppression
+// and needs no reason.
 #include <thread>
 
 void fixture_nolint_with_reason() {

@@ -102,14 +102,28 @@ TEST(CkatLint, DetachedThreadRule) {
 }
 
 TEST(CkatLint, TrainDeterminismRule) {
-  expect_rule_pair("src/core/trainer_bad.cpp", "src/core/trainer_clean.cpp",
-                   "ckat-train-determinism");
   // Each banned construct reports individually: atomic<float>,
-  // atomic<double>, hardware_concurrency(), and the omp line fires both
-  // the pragma and the reduction pattern.
+  // atomic<double>, hardware_concurrency() and the reduction clause.
+  // The pragma carrying that clause reports under ckat-openmp.
   const LintResult r =
       run_lint("\"" + fixture("src/core/trainer_bad.cpp") + "\"");
-  EXPECT_EQ(rule_counts(r.output)["ckat-train-determinism"], 5) << r.output;
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  auto counts = rule_counts(r.output);
+  EXPECT_EQ(counts.size(), 2u) << r.output;
+  EXPECT_EQ(counts["ckat-train-determinism"], 4) << r.output;
+  EXPECT_EQ(counts["ckat-openmp"], 1) << r.output;
+
+  const LintResult ok =
+      run_lint("\"" + fixture("src/core/trainer_clean.cpp") + "\"");
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  EXPECT_TRUE(ok.output.empty()) << ok.output;
+}
+
+TEST(CkatLint, OpenMpRule) {
+  expect_rule_pair("openmp_bad.cpp", "openmp_clean.cpp", "ckat-openmp");
+  // <omp.h> in both include spellings, the pragma and the runtime call.
+  const LintResult r = run_lint("\"" + fixture("openmp_bad.cpp") + "\"");
+  EXPECT_EQ(rule_counts(r.output)["ckat-openmp"], 4) << r.output;
 }
 
 TEST(CkatLint, MutexGuardRule) {
@@ -257,7 +271,7 @@ TEST(CkatLint, ListRulesCoversCatalogue) {
         "ckat-relaxed-atomic", "ckat-lock-order", "ckat-mutex-guard",
         "ckat-relaxed-publish", "ckat-budget-drop", "ckat-detached-thread",
         "ckat-include-guard", "ckat-using-namespace", "ckat-nolint-reason",
-        "ckat-trace-context"}) {
+        "ckat-trace-context", "ckat-train-determinism", "ckat-openmp"}) {
     EXPECT_NE(r.output.find(rule), std::string::npos) << "missing " << rule;
   }
 }
@@ -302,9 +316,11 @@ TEST(CkatLint, RepoTreeIsLintClean) {
   // The acceptance bar: the analyzer over the real tree (registry
   // cross-checks included via --root) reports nothing.
   const std::string root = CKAT_REPO_ROOT;
-  const LintResult r =
-      run_lint("--root \"" + root + "\" \"" + root + "/src\" \"" + root +
-               "/tests\" \"" + root + "/bench\"");
+  std::string args = "--root \"" + root + "\"";
+  for (const char* tree : {"src", "tests", "bench", "tools", "examples"}) {
+    args += " \"" + root + "/" + tree + "\"";
+  }
+  const LintResult r = run_lint(args);
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_TRUE(r.output.empty()) << r.output;
 }

@@ -1,9 +1,11 @@
 // WorkerPool: barrier semantics, caller-as-worker-0, exception
-// propagation (first-worker-wins) and reuse across many run() calls.
+// propagation (first-worker-wins), reuse across many run() calls, the
+// for_chunks partition and the reentrancy guard.
 #include "util/parallel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <numeric>
@@ -106,6 +108,82 @@ TEST(WorkerPool, CallerExceptionOnSizeOnePool) {
   std::atomic<int> count{0};
   pool.run([&](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 1);
+}
+
+TEST(WorkerPool, ForChunksVisitsEveryIndexExactlyOnce) {
+  constexpr std::size_t kChunk = 8;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    WorkerPool pool(threads);
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, kChunk - 1, kChunk, kChunk + 1,
+          10 * kChunk + 3}) {
+      std::vector<std::atomic<int>> hits(n);
+      std::atomic<bool> bad_range{false};
+      pool.for_chunks(n, kChunk, [&](std::size_t begin, std::size_t end) {
+        // Every range is one whole chunk of the fixed partition.
+        if (begin % kChunk != 0 || end <= begin ||
+            end != std::min(n, begin + kChunk)) {
+          bad_range = true;
+        }
+        for (std::size_t i = begin; i < end; ++i) ++hits[i];
+      });
+      EXPECT_FALSE(bad_range.load()) << "threads=" << threads << " n=" << n;
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "threads=" << threads << " n=" << n << " index " << i;
+      }
+    }
+  }
+}
+
+TEST(WorkerPool, ForChunksStaysOnCallingThreadAtSizeOne) {
+  WorkerPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> begins;
+  pool.for_chunks(50, 8, [&](std::size_t begin, std::size_t) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    begins.push_back(begin);
+  });
+  // In chunk order, too.
+  EXPECT_EQ(begins, (std::vector<std::size_t>{0, 8, 16, 24, 32, 40, 48}));
+}
+
+TEST(WorkerPool, ForChunksRejectsZeroChunk) {
+  WorkerPool pool(2);
+  EXPECT_THROW(pool.for_chunks(4, 0, [](std::size_t, std::size_t) {}),
+               std::invalid_argument);
+}
+
+TEST(WorkerPool, RunFromInsideOwnJobThrowsLogicError) {
+  for (const std::size_t threads : {2u, 4u}) {
+    WorkerPool pool(threads);
+    // Every worker -- the caller as worker 0 and the pool threads --
+    // re-enters; each gets a logic_error instead of a dead barrier.
+    std::atomic<int> refused{0};
+    pool.run([&](std::size_t) {
+      try {
+        pool.run([](std::size_t) {});
+      } catch (const std::logic_error&) {
+        ++refused;
+      }
+    });
+    EXPECT_EQ(refused.load(), static_cast<int>(threads));
+    // A nested fan-out through for_chunks is refused the same way.
+    EXPECT_THROW(pool.for_chunks(64, 1,
+                                 [&](std::size_t, std::size_t) {
+                                   pool.for_chunks(64, 1, [](std::size_t,
+                                                             std::size_t) {});
+                                 }),
+                 std::logic_error);
+    // The pool is still usable afterwards.
+    std::atomic<int> count{0};
+    pool.run([&](std::size_t) { ++count; });
+    EXPECT_EQ(count.load(), static_cast<int>(threads));
+  }
+}
+
+TEST(WorkerPool, AffinityCpuCountIsPositive) {
+  EXPECT_GE(affinity_cpu_count(), 1u);
 }
 
 }  // namespace

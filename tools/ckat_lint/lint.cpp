@@ -29,6 +29,7 @@ constexpr const char* kUsingNamespace = "ckat-using-namespace";
 constexpr const char* kNolintReason = "ckat-nolint-reason";
 constexpr const char* kTraceContext = "ckat-trace-context";
 constexpr const char* kTrainDeterminism = "ckat-train-determinism";
+constexpr const char* kOpenMp = "ckat-openmp";
 constexpr const char* kIo = "ckat-io";
 
 /// Directories whose code must be bit-reproducible: all randomness flows
@@ -59,8 +60,8 @@ constexpr const char* kRelaxedAllowlist[] = {
 /// own macro name).
 const std::set<std::string>& builtin_ckat_tokens() {
   static const std::set<std::string> tokens = {
-      "CKAT_ASSERT",          "CKAT_CHECK_INVARIANT", "CKAT_VALIDATE",
-      "CKAT_SANITIZE",        "CKAT_PROFILE_KERNELS", "CKAT_ENV_REGISTRY",
+      "CKAT_ASSERT",   "CKAT_CHECK_INVARIANT", "CKAT_VALIDATE",
+      "CKAT_SANITIZE", "CKAT_ENV_REGISTRY",
   };
   return tokens;
 }
@@ -142,9 +143,12 @@ std::vector<Suppression> collect_suppressions(const SourceFile& file) {
       std::istringstream items(rules);
       std::string item;
       bool any_ckat = false;
+      // Only concrete rule ids count: prose naming the syntax itself
+      // ("NOLINT(ckat-*)") is not a suppression.
+      static const std::regex rule_id("ckat-[a-z0-9]+(-[a-z0-9]+)*");
       while (std::getline(items, item, ',')) {
         trim(item);
-        if (item.rfind("ckat-", 0) == 0) any_ckat = true;
+        if (std::regex_match(item, rule_id)) any_ckat = true;
         sup.rules.insert(item);
       }
       if (!any_ckat) continue;  // clang-tidy suppressions are not ours
@@ -315,6 +319,7 @@ class Analyzer {
     if (in_deterministic_dir(file.path) && is_training_file(file.path)) {
       check_train_determinism(file, candidate);
     }
+    check_openmp(file, candidate);
     check_env(file, candidate);
     if (path_contains(file.path, "src/") &&
         !file.path.ends_with("metric_names.hpp")) {
@@ -388,9 +393,9 @@ class Analyzer {
   /// count. That forbids whole construct classes, not just entropy --
   /// atomic floating-point accumulators (commit order varies),
   /// hardware_concurrency() (partitions must come from configuration,
-  /// never from the host), and OpenMP reductions (unordered combining
-  /// trees). Slot-ordered serial reductions are the sanctioned shape
-  /// (DESIGN.md section 16).
+  /// never from the host), and unordered reductions (combining trees).
+  /// Slot-ordered serial reductions are the sanctioned shape (DESIGN.md
+  /// section 16).
   template <typename Emit>
   void check_train_determinism(const SourceFile& file, const Emit& candidate) {
     struct Pattern {
@@ -406,8 +411,6 @@ class Analyzer {
          "hardware_concurrency() in training code",
          "take the worker count from CkatConfig / CKAT_TRAIN_THREADS; the "
          "slot partition must not depend on the host"},
-        {std::regex("#\\s*pragma\\s+omp\\b"), "OpenMP pragma in training code",
-         "use util::WorkerPool with slot-indexed storage"},
         {std::regex("\\breduction\\s*\\(\\s*[+*&|^]"),
          "OpenMP-style unordered reduction",
          "reduce serially in slot order"},
@@ -420,6 +423,40 @@ class Analyzer {
                         " breaks bit-identical-across-threads training; " +
                         p.fix);
         }
+      }
+    }
+  }
+
+  /// util::WorkerPool is the one data-parallel runtime (DESIGN.md
+  /// section 16): OpenMP teams spin-wait and collapse when processes
+  /// share CPUs, and ThreadSanitizer cannot see through libgomp.
+  template <typename Emit>
+  void check_openmp(const SourceFile& file, const Emit& candidate) {
+    static const std::regex pragma("#\\s*pragma\\s+omp\\b");
+    static const std::regex angle_include("#\\s*include\\s*<\\s*omp\\.h\\s*>");
+    static const std::regex quote_include("#\\s*include\\s*\"");
+    static const std::regex call("\\bomp_[A-Za-z_0-9]+\\s*\\(");
+    const auto report = [&](std::size_t line, const char* what) {
+      candidate(line, kOpenMp, Severity::kError,
+                std::string(what) +
+                    "; use util::WorkerPool::for_chunks, the one parallel "
+                    "runtime");
+    };
+    for (std::size_t li = 0; li < file.code.size(); ++li) {
+      if (std::regex_search(file.code[li], pragma)) {
+        report(li + 1, "OpenMP pragma");
+      }
+      if (std::regex_search(file.code[li], angle_include)) {
+        report(li + 1, "<omp.h> include");
+      }
+      if (std::regex_search(file.code[li], call)) {
+        report(li + 1, "OpenMP runtime call");
+      }
+    }
+    for (const StringLiteral& literal : file.strings) {
+      if (literal.text == "omp.h" &&
+          std::regex_search(file.code[literal.line - 1], quote_include)) {
+        report(literal.line, "<omp.h> include");
       }
     }
   }
@@ -623,8 +660,11 @@ const std::vector<RuleInfo>& rule_catalogue() {
       {kTrainDeterminism, Severity::kError,
        "training-engine sources (train*/optim*/gradcheck* under the "
        "deterministic dirs) avoid atomic float accumulators, "
-       "hardware_concurrency() and OpenMP reductions; results must be "
+       "hardware_concurrency() and unordered reductions; results must be "
        "bit-identical at every thread count"},
+      {kOpenMp, Severity::kError,
+       "no OpenMP anywhere (#pragma omp, <omp.h>, omp_* calls); "
+       "util::WorkerPool is the one parallel runtime"},
   };
   return catalogue;
 }
@@ -727,6 +767,7 @@ constexpr SelfCheckEntry kSelfCheckManifest[] = {
      "src/serve/trace_root_clean.cpp"},
     {"ckat-train-determinism", "src/core/trainer_bad.cpp",
      "src/core/trainer_clean.cpp"},
+    {"ckat-openmp", "openmp_bad.cpp", "openmp_clean.cpp"},
 };
 
 }  // namespace

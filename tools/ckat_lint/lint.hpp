@@ -39,6 +39,12 @@
 //                         edge (src/serve/gateway.cpp); downstream code
 //                         forwards the request's TraceContext instead
 //                         of re-rooting a new trace.
+//   ckat-train-determinism  training-engine sources avoid atomic float
+//                         accumulators, hardware_concurrency() and
+//                         unordered reductions.
+//   ckat-openmp           no OpenMP in any linted file (#pragma omp,
+//                         <omp.h>, omp_* calls): util::WorkerPool is
+//                         the one parallel runtime.
 //
 // Suppression: `// NOLINT(ckat-rule): reason` on the offending line or
 // `// NOLINTNEXTLINE(ckat-rule): reason` on the line above. The reason
