@@ -67,6 +67,7 @@ void BprmfModel::score_items(std::uint32_t user, std::span<float> out) const {
   if (out.size() != n_items()) {
     throw std::invalid_argument("BprmfModel: output span size mismatch");
   }
+  check_user(user);
   auto u = user_factors_->value().row(user);
   for (std::size_t v = 0; v < n_items(); ++v) {
     auto q = item_factors_->value().row(v);
@@ -87,6 +88,7 @@ void BprmfModel::score_batch(std::span<const std::uint32_t> users,
   const std::size_t dim = user_table.cols();
   std::vector<float> user_block(users.size() * dim);
   for (std::size_t i = 0; i < users.size(); ++i) {
+    check_user(users[i]);
     const auto user_row = user_table.row(users[i]);
     std::copy(user_row.begin(), user_row.end(),
               user_block.begin() + static_cast<std::ptrdiff_t>(i * dim));

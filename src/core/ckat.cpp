@@ -440,6 +440,12 @@ void CkatModel::cache_final_representations() {
   util::Rng unused(0);
   nn::Var representation = propagate(tape, /*training=*/false, unused);
   final_representations_ = tape.value(representation);
+  const std::size_t dim = final_representations_.cols();
+  item_panel_ = nn::PackedRows(
+      {final_representations_.data() +
+           static_cast<std::size_t>(ckg_.item_entity(0)) * dim,
+       n_items() * dim},
+      n_items(), dim);
 }
 
 const nn::Tensor& CkatModel::final_representations() const {
@@ -719,16 +725,9 @@ void CkatModel::score_items(std::uint32_t user, std::span<float> out) const {
   if (out.size() != n_items()) {
     throw std::invalid_argument("CkatModel: output span size mismatch");
   }
-  const nn::Tensor& repr = final_representations_;
-  auto user_row = repr.row(ckg_.user_entity(user));
-  for (std::size_t v = 0; v < n_items(); ++v) {
-    auto item_row = repr.row(ckg_.item_entity(static_cast<std::uint32_t>(v)));
-    float acc = 0.0f;
-    for (std::size_t c = 0; c < user_row.size(); ++c) {
-      acc += user_row[c] * item_row[c];
-    }
-    out[v] = acc;
-  }
+  check_user(user);
+  nn::gemm_nt_packed(final_representations_.row(ckg_.user_entity(user)), 1,
+                     item_panel_, out);
 }
 
 void CkatModel::score_batch(std::span<const std::uint32_t> users,
@@ -741,19 +740,14 @@ void CkatModel::score_batch(std::span<const std::uint32_t> users,
   }
   const nn::Tensor& repr = final_representations_;
   const std::size_t dim = repr.cols();
-  // Gather the user rows into a dense block. The item rows need no
-  // gather: the entity layout puts all items contiguously right after
-  // the users, so the item panel is a view into e* itself.
   std::vector<float> user_block(users.size() * dim);
   for (std::size_t i = 0; i < users.size(); ++i) {
+    check_user(users[i]);
     const auto user_row = repr.row(ckg_.user_entity(users[i]));
     std::copy(user_row.begin(), user_row.end(),
               user_block.begin() + static_cast<std::ptrdiff_t>(i * dim));
   }
-  const std::span<const float> item_panel{
-      repr.data() + static_cast<std::size_t>(ckg_.item_entity(0)) * dim,
-      n_items() * dim};
-  nn::gemm_nt_into(user_block, users.size(), dim, item_panel, n_items(), out);
+  nn::gemm_nt_packed(user_block, users.size(), item_panel_, out);
 }
 
 }  // namespace ckat::core

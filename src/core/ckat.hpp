@@ -23,6 +23,7 @@
 #include "core/transr.hpp"
 #include "eval/recommender.hpp"
 #include "graph/ckg.hpp"
+#include "nn/kernels.hpp"
 #include "nn/optim.hpp"
 #include "nn/parameter.hpp"
 #include "nn/serialize.hpp"
@@ -90,11 +91,16 @@ class CkatModel final : public eval::Recommender {
 
   [[nodiscard]] std::string name() const override { return "CKAT"; }
   void fit() override;
+  /// Scores one user against the item panel packed when the
+  /// representations were cached (nn::gemm_nt_packed with m = 1): no
+  /// per-call gather, packing or heap allocation, and every score is
+  /// bit-identical to the scalar dot of the two e* rows. Throws
+  /// std::out_of_range for user >= n_users() in every build.
   void score_items(std::uint32_t user, std::span<float> out) const override;
-  /// Batched scoring as one tiled GEMM over e*: the CKG entity layout
-  /// keeps item rows contiguous after the user rows, so the item panel
-  /// is the representation table itself (no copy). Bit-identical to
-  /// score_items (same per-coordinate accumulation order).
+  /// Batched scoring: gathers the user rows and runs one packed GEMM
+  /// against the same item panel; row i is bit-identical to
+  /// score_items(users[i]). Throws std::out_of_range on any user id
+  /// >= n_users().
   void score_batch(std::span<const std::uint32_t> users,
                    std::span<float> out) const override;
   [[nodiscard]] std::size_t n_users() const override;
@@ -188,6 +194,8 @@ class CkatModel final : public eval::Recommender {
   void refresh_propagation_matrix();
   float cf_step(util::Rng& rng);
   float kg_step(util::Rng& rng);
+  /// Sets final_representations_ and re-packs item_panel_ from it; the
+  /// only writer of either.
   void cache_final_representations();
   void apply_lr_scale(float scale);
   /// Writes the periodic checkpoint (rotating the previous one); write
@@ -216,6 +224,9 @@ class CkatModel final : public eval::Recommender {
 
   PropagationMatrix propagation_;
   nn::Tensor final_representations_;
+  /// The item rows of final_representations_ in the 16-wide k-major
+  /// tile layout: ceil(n_items/16) * 16 * D* floats.
+  nn::PackedRows item_panel_;
   bool fitted_ = false;
   std::vector<EpochStats> history_;
 

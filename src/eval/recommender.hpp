@@ -44,6 +44,17 @@ class Recommender {
 
   [[nodiscard]] virtual std::size_t n_users() const = 0;
   [[nodiscard]] virtual std::size_t n_items() const = 0;
+
+ protected:
+  /// For models that index an embedding table by user id: throws
+  /// std::out_of_range unless user < n_users(), in every build type.
+  void check_user(std::uint32_t user) const {
+    if (user >= n_users()) {
+      throw std::out_of_range(name() + ": user id " + std::to_string(user) +
+                              " out of range (n_users " +
+                              std::to_string(n_users()) + ")");
+    }
+  }
 };
 
 }  // namespace ckat::eval

@@ -108,25 +108,73 @@ void gemm_nt(const Tensor& a, const Tensor& b, Tensor& out, float alpha,
 
 namespace {
 
+// The 16-lane tile micro-kernel, one body per ISA:
+//   out16[r] = sum over kk of arow[kk] * ptile[kk * 16 + r]
+// over one k-major tile. Lane r sums its products in plain kk order,
+// exactly like the scalar dot loop, and no path contracts to FMA, so
+// every ISA rounds each lane identically (see gemm_nt_into in the
+// header for why the lanes run across rows rather than along k).
+using TileKernel = void (*)(const float* arow, const float* ptile,
+                            std::size_t k, float* out16);
+
+constexpr std::size_t kNr = PackedRows::kTile;
+
+void tile16_scalar(const float* arow, const float* ptile, std::size_t k,
+                   float* out16) {
+  float acc[kNr] = {};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float av = arow[kk];
+    const float* bp = ptile + kk * kNr;
+    for (std::size_t r = 0; r < kNr; ++r) acc[r] += av * bp[r];
+  }
+  for (std::size_t r = 0; r < kNr; ++r) out16[r] = acc[r];
+}
+
+#if defined(__SSE2__)
+// Written with intrinsics rather than left to the auto-vectorizer:
+// GCC 12 SLP-vectorizes the scalar lane loop *across kk* and emits a
+// shuffle-bound in-register transpose that runs slower than a plain
+// per-row dot loop. SSE2 is part of the x86-64 baseline ABI, which has
+// no FMA instruction, so mulps+addps here cannot be contracted.
+void tile16_sse2(const float* arow, const float* ptile, std::size_t k,
+                 float* out16) {
+  __m128 acc0 = _mm_setzero_ps();
+  __m128 acc1 = _mm_setzero_ps();
+  __m128 acc2 = _mm_setzero_ps();
+  __m128 acc3 = _mm_setzero_ps();
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const __m128 av = _mm_set1_ps(arow[kk]);
+    const float* bp = ptile + kk * kNr;
+    acc0 = _mm_add_ps(acc0, _mm_mul_ps(av, _mm_loadu_ps(bp)));
+    acc1 = _mm_add_ps(acc1, _mm_mul_ps(av, _mm_loadu_ps(bp + 4)));
+    acc2 = _mm_add_ps(acc2, _mm_mul_ps(av, _mm_loadu_ps(bp + 8)));
+    acc3 = _mm_add_ps(acc3, _mm_mul_ps(av, _mm_loadu_ps(bp + 12)));
+  }
+  _mm_storeu_ps(out16, acc0);
+  _mm_storeu_ps(out16 + 4, acc1);
+  _mm_storeu_ps(out16 + 8, acc2);
+  _mm_storeu_ps(out16 + 12, acc3);
+}
+#endif
+
 #if CKAT_GEMM_HAS_AVX2
-// 16-lane tile step in two 256-bit accumulators. Lane r still sums item
-// j0+r's products in plain kk order, and target("avx2") deliberately
-// does NOT enable FMA, so vmulps+vaddps round exactly like the SSE2 and
-// scalar paths -- the wider registers only buy throughput.
-__attribute__((target("avx2"))) void gemm_tile16_avx2(const float* arow,
-                                                      const float* ptile,
-                                                      std::size_t k,
-                                                      float* orow) {
+// Two 256-bit accumulators; target("avx2") deliberately does NOT enable
+// FMA, so vmulps+vaddps round exactly like the SSE2 and scalar paths --
+// the wider registers only buy throughput.
+__attribute__((target("avx2"))) void tile16_avx2(const float* arow,
+                                                 const float* ptile,
+                                                 std::size_t k,
+                                                 float* out16) {
   __m256 acc0 = _mm256_setzero_ps();
   __m256 acc1 = _mm256_setzero_ps();
   for (std::size_t kk = 0; kk < k; ++kk) {
     const __m256 av = _mm256_set1_ps(arow[kk]);
-    const float* bp = ptile + kk * 16;
+    const float* bp = ptile + kk * kNr;
     acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(av, _mm256_loadu_ps(bp)));
     acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(av, _mm256_loadu_ps(bp + 8)));
   }
-  _mm256_storeu_ps(orow, acc0);
-  _mm256_storeu_ps(orow + 8, acc1);
+  _mm256_storeu_ps(out16, acc0);
+  _mm256_storeu_ps(out16 + 8, acc1);
 }
 
 bool host_has_avx2() {
@@ -146,6 +194,47 @@ GemmIsa best_supported_isa() {
 }
 
 std::atomic<GemmIsa> g_gemm_isa{GemmIsa::kAuto};
+
+TileKernel tile_kernel(GemmIsa isa) {
+#if CKAT_GEMM_HAS_AVX2
+  if (isa == GemmIsa::kAvx2) return tile16_avx2;
+#endif
+#if defined(__SSE2__)
+  if (isa != GemmIsa::kScalar) return tile16_sse2;
+#endif
+  return tile16_scalar;
+}
+
+// Copies `width` (<= kNr) rows of length k into one k-major tile,
+// zero-filling lanes [width, kNr).
+void pack_tile(const float* rows, std::size_t width, std::size_t k,
+               float* ptile) {
+  if (width < kNr) std::fill_n(ptile, kNr * k, 0.0f);
+  for (std::size_t r = 0; r < width; ++r) {
+    const float* row = rows + r * k;
+    for (std::size_t kk = 0; kk < k; ++kk) ptile[kk * kNr + r] = row[kk];
+  }
+}
+
+// Scores m A rows against one tile holding `width` real rows, writing
+// out[i * ldo + r] for r < width. A partial tile is computed into a
+// stack buffer and only its real lanes are copied out, so padded lanes
+// (0 * inf = NaN is possible there) never reach `out`.
+void score_tile(TileKernel kernel, const float* a, std::size_t m,
+                std::size_t k, const float* ptile, std::size_t width,
+                float* out, std::size_t ldo) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    float* orow = out + i * ldo;
+    if (width == kNr) {
+      kernel(arow, ptile, k, orow);
+    } else {
+      float tail[kNr];
+      kernel(arow, ptile, k, tail);
+      std::copy_n(tail, width, orow);
+    }
+  }
+}
 
 }  // namespace
 
@@ -178,92 +267,42 @@ void gemm_nt_into(std::span<const float> a, std::size_t m, std::size_t k,
     throw std::invalid_argument("gemm_nt_into: output size mismatch");
   }
   if (m == 0 || n == 0) return;
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  if (k == 0) {
-    std::fill(out.begin(), out.end(), 0.0f);
-    return;
-  }
-  // kNr B rows per tile, re-packed k-major (ptile[kk * kNr + r] = row
-  // j0+r, coord kk) once per tile and reused across all m A rows.
-  //
-  // Why this shape: a single dot product is a sequential dependency
-  // chain the bit-identity contract forbids reassociating, so per-dot
-  // throughput is capped by FP-add latency and no amount of -O3 helps.
-  // The kNr lanes here are *independent* chains — lane r sums item
-  // j0+r's products in plain kk order, exactly like the scalar loop —
-  // so each step is broadcast(a[kk]) * contiguous lane load, and the
-  // four accumulator vectors overlap the FP-add latency of each other.
-  //
-  // The hot loop is written with SSE2 intrinsics rather than left to
-  // the auto-vectorizer: GCC 12 SLP-vectorizes the equivalent scalar
-  // lane loop *across kk* and emits a shuffle-bound in-register
-  // transpose that runs slower than the plain per-user loop. SSE2 is
-  // part of the x86-64 baseline ABI, so the guard only ever falls back
-  // on non-x86 targets. Bit-identity holds in both paths: packed
-  // mulps/addps round each lane exactly like scalar mulss/addss, and
-  // neither path can contract to FMA (the baseline ISA has no FMA
-  // instruction, and the fallback writes `a * b` then `+=` as separate
-  // expressions).
-  constexpr std::size_t kNr = 16;
-  const GemmIsa isa = active_gemm_isa();
+  // One tile of B rows packed at a time and reused across all m A rows.
+  const TileKernel kernel = tile_kernel(active_gemm_isa());
   std::vector<float> ptile(kNr * k);
-  for (std::size_t j0 = 0; j0 + kNr <= n; j0 += kNr) {
-    for (std::size_t r = 0; r < kNr; ++r) {
-      const float* brow = pb + (j0 + r) * k;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        ptile[kk * kNr + r] = brow[kk];
-      }
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* arow = pa + i * k;
-      float* orow = po + i * n + j0;
-#if CKAT_GEMM_HAS_AVX2
-      if (isa == GemmIsa::kAvx2) {
-        gemm_tile16_avx2(arow, ptile.data(), k, orow);
-        continue;
-      }
-#endif
-#if defined(__SSE2__)
-      if (isa != GemmIsa::kScalar) {
-        __m128 acc0 = _mm_setzero_ps();
-        __m128 acc1 = _mm_setzero_ps();
-        __m128 acc2 = _mm_setzero_ps();
-        __m128 acc3 = _mm_setzero_ps();
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          const __m128 av = _mm_set1_ps(arow[kk]);
-          const float* bp = ptile.data() + kk * kNr;
-          acc0 = _mm_add_ps(acc0, _mm_mul_ps(av, _mm_loadu_ps(bp)));
-          acc1 = _mm_add_ps(acc1, _mm_mul_ps(av, _mm_loadu_ps(bp + 4)));
-          acc2 = _mm_add_ps(acc2, _mm_mul_ps(av, _mm_loadu_ps(bp + 8)));
-          acc3 = _mm_add_ps(acc3, _mm_mul_ps(av, _mm_loadu_ps(bp + 12)));
-        }
-        _mm_storeu_ps(orow, acc0);
-        _mm_storeu_ps(orow + 4, acc1);
-        _mm_storeu_ps(orow + 8, acc2);
-        _mm_storeu_ps(orow + 12, acc3);
-        continue;
-      }
-#endif
-      float acc[kNr] = {};
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const float av = arow[kk];
-        const float* bp = ptile.data() + kk * kNr;
-        for (std::size_t r = 0; r < kNr; ++r) acc[r] += av * bp[r];
-      }
-      for (std::size_t r = 0; r < kNr; ++r) orow[r] = acc[r];
-    }
+  for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
+    const std::size_t width = std::min(kNr, n - j0);
+    pack_tile(b.data() + j0 * k, width, k, ptile.data());
+    score_tile(kernel, a.data(), m, k, ptile.data(), width, out.data() + j0,
+               n);
   }
-  // Remainder rows (n % kNr): plain scalar dots, same element order.
-  for (std::size_t j = n - n % kNr; j < n; ++j) {
-    const float* brow = pb + j * k;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* arow = pa + i * k;
-      float acc = 0.0f;
-      for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      po[i * n + j] = acc;
-    }
+}
+
+PackedRows::PackedRows(std::span<const float> rows, std::size_t n,
+                       std::size_t k)
+    : data_(((n + kTile - 1) / kTile) * kTile * k), n_(n), k_(k) {
+  if (rows.size() != n * k) {
+    throw std::invalid_argument("PackedRows: input size mismatch");
+  }
+  for (std::size_t j0 = 0; j0 < n; j0 += kTile) {
+    pack_tile(rows.data() + j0 * k, std::min(kTile, n - j0), k,
+              data_.data() + j0 * k);
+  }
+}
+
+void gemm_nt_packed(std::span<const float> a, std::size_t m,
+                    const PackedRows& b, std::span<float> out) {
+  const std::size_t k = b.cols(), n = b.rows();
+  if (a.size() != m * k) {
+    throw std::invalid_argument("gemm_nt_packed: input size mismatch");
+  }
+  if (out.size() != m * n) {
+    throw std::invalid_argument("gemm_nt_packed: output size mismatch");
+  }
+  const TileKernel kernel = tile_kernel(active_gemm_isa());
+  for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
+    score_tile(kernel, a.data(), m, k, b.data() + j0 * k,
+               std::min(kNr, n - j0), out.data() + j0, n);
   }
 }
 

@@ -26,34 +26,69 @@ void gemm_nt(const Tensor& a, const Tensor& b, Tensor& out,
              float alpha = 1.0f, bool accumulate = false,
              util::WorkerPool* pool = nullptr);
 
-/// Instruction set used by the tiled gemm_nt_into kernel. kAuto picks
-/// the widest path the host supports (detected once via cpuid). Every
-/// path accumulates each output lane in plain kk order with separate
-/// multiply and add (no FMA contraction), so switching ISA never
-/// changes a single bit of the result -- the dispatch is pure
-/// throughput. set_gemm_isa exists so tests and benches can pin or
-/// cross-check paths; it throws std::invalid_argument if the host
-/// cannot execute the requested ISA.
+/// Instruction set of the 16-lane tile micro-kernel behind gemm_nt_into
+/// and gemm_nt_packed. kAuto picks the widest path the host supports
+/// (detected once via cpuid). Every path accumulates each output lane
+/// in plain kk order with separate multiply and add (no FMA
+/// contraction), so switching ISA never changes a single bit of the
+/// result -- the dispatch is pure throughput. set_gemm_isa exists so
+/// tests and benches can pin or cross-check paths; it throws
+/// std::invalid_argument if the host cannot execute the requested ISA.
 enum class GemmIsa { kAuto, kScalar, kSse2, kAvx2 };
 
 void set_gemm_isa(GemmIsa isa);
 
-/// The ISA gemm_nt_into will actually use (never kAuto).
+/// The ISA the tile micro-kernel will actually use (never kAuto).
 [[nodiscard]] GemmIsa active_gemm_isa() noexcept;
 
 /// out = A @ B^T written straight into a caller-owned row-major buffer:
-/// out[i*n + j] = dot(A row i, B row j). The batched ranking engine
-/// (eval/ranker.hpp) scores a block of users against the item-embedding
-/// table with this: A is the gathered user block (m,k), B the item
-/// table (n,k). Tiled over B rows so the item panel is streamed from
-/// memory once per *block* instead of once per user; each output is an
-/// independent dot product accumulated in index order, so results are
-/// bit-identical to a per-user score_items loop. Deliberately serial:
-/// callers parallelize across user blocks (see BatchRanker), which
-/// already occupy every worker.
+/// out[i*n + j] = dot(A row i, B row j). A is (m,k), B is (n,k).
+///
+/// B is packed one tile of 16 rows at a time, k-major
+/// (tile[kk * 16 + r] = row j0+r, coord kk), and each tile is reused
+/// across all m A rows, so B is streamed from memory once per call
+/// instead of once per A row. A single dot product is a sequential
+/// dependency chain the bit-identity contract forbids reassociating;
+/// the 16 lanes of a tile are *independent* chains -- lane r sums row
+/// j0+r's products in plain kk order, exactly like a scalar dot loop --
+/// so every output is bit-identical to `acc += a[kk] * b[kk]` over kk.
+/// Deliberately serial: callers parallelize across user blocks (see
+/// BatchRanker), which already occupy every worker.
 void gemm_nt_into(std::span<const float> a, std::size_t m, std::size_t k,
                   std::span<const float> b, std::size_t n,
                   std::span<float> out);
+
+/// B rows (n,k) packed once into the tile layout gemm_nt_into builds per
+/// call: ceil(n/16) tiles of 16 rows, each stored k-major, the last one
+/// zero-padded. Costs ceil(n/16) * 16 * k floats. A fitted model packs
+/// its item table once and scores every request against it
+/// (CkatModel::score_items / score_batch) with no per-call packing.
+class PackedRows {
+ public:
+  static constexpr std::size_t kTile = 16;
+
+  PackedRows() = default;
+  /// Packs `rows`, row-major (n,k); throws std::invalid_argument when
+  /// rows.size() != n * k.
+  PackedRows(std::span<const float> rows, std::size_t n, std::size_t k);
+
+  [[nodiscard]] std::size_t rows() const noexcept { return n_; }
+  [[nodiscard]] std::size_t cols() const noexcept { return k_; }
+  [[nodiscard]] const float* data() const noexcept { return data_.data(); }
+
+ private:
+  std::vector<float> data_;
+  std::size_t n_ = 0;
+  std::size_t k_ = 0;
+};
+
+/// out = A @ B^T against a packed B: out[i*n + j] = dot(A row i, B row
+/// j), bit-identical to gemm_nt_into on the unpacked rows (the same
+/// micro-kernel runs over the same tiles). Serial and allocation-free:
+/// the padded last tile is computed into a stack buffer and only its
+/// real lanes are copied to `out`. m == 1 is the single-user path.
+void gemm_nt_packed(std::span<const float> a, std::size_t m,
+                    const PackedRows& b, std::span<float> out);
 
 /// out (+)= alpha * A^T @ B.  A: (k,m), B: (k,n), out: (m,n).
 void gemm_tn(const Tensor& a, const Tensor& b, Tensor& out,

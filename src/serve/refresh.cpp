@@ -5,6 +5,10 @@
 #include <stdexcept>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "eval/evaluator.hpp"
 #include "nn/serialize.hpp"
 #include "obs/flight.hpp"
@@ -23,6 +27,22 @@ int resolve_epochs(int configured) {
   return static_cast<int>(
       util::env_int("CKAT_REFRESH_EPOCHS", 2, 0, 100000));
 }
+
+/// Declared right after a cycle takes its lock, so it runs on every
+/// exit path once the cycle's locals (the grown graph copy, training
+/// scratch, a rejected candidate) are freed. glibc keeps freed heap
+/// resident; trimming hands the cycle's high-water memory back to the
+/// OS, so resident memory between cycles tracks what is still live.
+struct TrimHeapOnExit {
+  TrimHeapOnExit() = default;
+  TrimHeapOnExit(const TrimHeapOnExit&) = delete;
+  TrimHeapOnExit& operator=(const TrimHeapOnExit&) = delete;
+  ~TrimHeapOnExit() {
+#if defined(__GLIBC__)
+    malloc_trim(0);
+#endif
+  }
+};
 
 double resolve_eps(double configured) {
   if (configured >= 0.0) return configured;
@@ -182,6 +202,7 @@ RefreshOutcome OnlineRefresher::publish_bundle_locked(std::shared_ptr<Bundle> bu
 
 RefreshOutcome OnlineRefresher::bootstrap() {
   std::lock_guard<util::OrderedMutex> cycle(cycle_mutex_);
+  const TrimHeapOnExit trim;
   if (serving_bundle_ != nullptr) {
     throw std::logic_error("OnlineRefresher::bootstrap called twice");
   }
@@ -217,6 +238,7 @@ RefreshOutcome OnlineRefresher::bootstrap() {
 
 RefreshOutcome OnlineRefresher::ingest(const graph::CkgDelta& delta) {
   std::lock_guard<util::OrderedMutex> cycle(cycle_mutex_);
+  const TrimHeapOnExit trim;
   if (serving_bundle_ == nullptr || !checkpoint_written_) {
     throw std::logic_error(
         "OnlineRefresher::ingest before a successful bootstrap");

@@ -3,6 +3,8 @@
 // by a clear margin.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include <cmath>
 #include <memory>
 
@@ -122,6 +124,22 @@ TEST(Bprmf, RejectsEmptyTraining) {
   graph::InteractionSet empty(2, 3);
   empty.finalize();
   EXPECT_THROW(BprmfModel(empty, BprmfConfig{}), std::invalid_argument);
+}
+
+// Tensor::row only asserts its index, so before the explicit check a
+// Release build read another table's memory for an out-of-range user.
+TEST(Bprmf, RejectsUserIdsOutsideTheUserTable) {
+  const auto& train = shared().dataset.split().train;
+  BprmfModel model(train, BprmfConfig{.epochs = 1, .seed = 3});
+  model.fit();
+  const auto n_users = static_cast<std::uint32_t>(model.n_users());
+  std::vector<float> row(model.n_items());
+  EXPECT_NO_THROW(model.score_items(n_users - 1, row));
+  EXPECT_THROW(model.score_items(n_users, row), std::out_of_range);
+  EXPECT_THROW(model.score_items(0xFFFFFFFFu, row), std::out_of_range);
+  std::vector<float> block(2 * model.n_items());
+  const std::vector<std::uint32_t> users = {0, n_users + 7};
+  EXPECT_THROW(model.score_batch(users, block), std::out_of_range);
 }
 
 TEST(FmModels, NeuralFlagControlsName) {

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <numeric>
+#include <stdexcept>
+#include <vector>
+
 #include "eval/evaluator.hpp"
 #include "facility/dataset.hpp"
+#include "graph/delta.hpp"
 
 namespace ckat::core {
 namespace {
@@ -259,6 +265,113 @@ TEST(Ckat, ScoreSpanSizeValidated) {
   model.fit();
   std::vector<float> wrong(model.n_items() + 1);
   EXPECT_THROW(model.score_items(0, wrong), std::invalid_argument);
+}
+
+// Users in [n_users, n_entities) index item/attribute rows of e*, and
+// larger ids run past it; Tensor::row only asserts, so the model has to
+// reject both in every build.
+TEST(Ckat, RejectsUserIdsOutsideTheUserRange) {
+  CkatConfig config = fast_config();
+  config.epochs = 1;
+  CkatModel model(shared().ckg, shared().dataset.split().train, config);
+  model.fit();
+  const auto n_users = static_cast<std::uint32_t>(model.n_users());
+  std::vector<float> row(model.n_items());
+  EXPECT_NO_THROW(model.score_items(n_users - 1, row));
+  EXPECT_THROW(model.score_items(n_users, row), std::out_of_range);
+  EXPECT_THROW(
+      model.score_items(
+          static_cast<std::uint32_t>(shared().ckg.n_entities() - 1), row),
+      std::out_of_range);
+  EXPECT_THROW(model.score_items(0xFFFFFFFFu, row), std::out_of_range);
+  std::vector<float> block(2 * model.n_items());
+  const std::vector<std::uint32_t> users = {0, n_users};
+  EXPECT_THROW(model.score_batch(users, block), std::out_of_range);
+}
+
+/// Requires score_items, score_batch and the scalar dot over
+/// final_representations() to agree bytewise for every user.
+void expect_scores_match_representations(const CkatModel& model,
+                                         const graph::CollaborativeKg& ckg) {
+  const std::size_t n_users = model.n_users(), n_items = model.n_items();
+  std::vector<std::uint32_t> users(n_users);
+  std::iota(users.begin(), users.end(), 0u);
+  std::vector<float> batch(n_users * n_items);
+  model.score_batch(users, batch);
+  const nn::Tensor& repr = model.final_representations();
+  std::vector<float> row(n_items);
+  std::vector<float> reference(n_items);
+  for (const std::uint32_t u : users) {
+    model.score_items(u, row);
+    const auto user_row = repr.row(ckg.user_entity(u));
+    for (std::size_t v = 0; v < n_items; ++v) {
+      const auto item_row = repr.row(ckg.item_entity(
+          static_cast<std::uint32_t>(v)));
+      float acc = 0.0f;
+      for (std::size_t c = 0; c < user_row.size(); ++c) {
+        acc += user_row[c] * item_row[c];
+      }
+      reference[v] = acc;
+    }
+    ASSERT_EQ(std::memcmp(row.data(), reference.data(),
+                          n_items * sizeof(float)),
+              0)
+        << "score_items vs scalar, user " << u;
+    ASSERT_EQ(std::memcmp(batch.data() + u * n_items, reference.data(),
+                          n_items * sizeof(float)),
+              0)
+        << "score_batch vs scalar, user " << u;
+  }
+}
+
+// The packed item panel is rebuilt wherever e* is: after fit(), after a
+// further refresh_fit on the same model, and on a warm-started
+// candidate over a CKG grown by a delta (more users and items).
+TEST(Ckat, PackedPanelTracksRepresentations) {
+  const graph::InteractionSet& train = shared().dataset.split().train;
+  CkatConfig config = fast_config();
+  config.epochs = 2;
+  CkatModel model(shared().ckg, train, config);
+  model.fit();
+  expect_scores_match_representations(model, shared().ckg);
+
+  std::vector<float> before(model.n_items());
+  model.score_items(0, before);
+  model.refresh_fit(1);
+  std::vector<float> after(model.n_items());
+  model.score_items(0, after);
+  EXPECT_NE(std::memcmp(before.data(), after.data(),
+                        before.size() * sizeof(float)),
+            0);
+  expect_scores_match_representations(model, shared().ckg);
+
+  graph::CollaborativeKg grown = shared().ckg;
+  graph::CkgDelta delta;
+  delta.n_new_users = 2;
+  delta.n_new_items = 3;
+  const auto new_user = static_cast<std::uint32_t>(train.n_users());
+  const auto new_item = static_cast<std::uint32_t>(train.n_items());
+  delta.interactions = {{new_user, new_item},
+                        {new_user, 0},
+                        {new_user + 1, new_item + 2},
+                        {0, new_item + 1}};
+  grown.apply_delta(delta);
+  graph::InteractionSet grown_train(grown.n_users(), grown.n_items());
+  for (const graph::Interaction& pair : train.pairs()) {
+    grown_train.add(pair.user, pair.item);
+  }
+  for (const graph::Interaction& pair : delta.interactions) {
+    grown_train.add(pair.user, pair.item);
+  }
+  grown_train.finalize();
+
+  CkatModel candidate(grown, grown_train, config);
+  candidate.warm_start_from_checkpoint(model.make_checkpoint(config.epochs),
+                                       shared().ckg);
+  candidate.refresh_fit(1);
+  ASSERT_EQ(candidate.n_users(), model.n_users() + 2);
+  ASSERT_EQ(candidate.n_items(), model.n_items() + 3);
+  expect_scores_match_representations(candidate, grown);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -314,6 +315,127 @@ TEST(GemmIsa, AllPathsBitIdentical) {
       }
     }
   }
+}
+
+// ---- Packed item panel (PackedRows + gemm_nt_packed) ----
+
+/// acc += a[kk] * b[kk] over kk: the scalar loop every tile lane must
+/// reproduce bit for bit.
+std::vector<float> scalar_dots(const std::vector<float>& a, std::size_t m,
+                               std::size_t k, const std::vector<float>& b,
+                               std::size_t n) {
+  std::vector<float> out(m * n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        acc += a[i * k + kk] * b[j * k + kk];
+      }
+      out[i * n + j] = acc;
+    }
+  }
+  return out;
+}
+
+/// Runs gemm_nt_into and gemm_nt_packed at `isa` and requires both to
+/// match `reference` bytewise. Each output span sits between sentinel
+/// guards so a padded-lane write past the last real row would show.
+void expect_packed_matches(GemmIsa isa, const std::vector<float>& a,
+                           std::size_t m, std::size_t k,
+                           const std::vector<float>& b, std::size_t n,
+                           const std::vector<float>& reference) {
+  constexpr float kSentinel = -12345.0f;
+  constexpr std::size_t kGuard = PackedRows::kTile;
+  set_gemm_isa(isa);
+  const PackedRows panel(b, n, k);
+  ASSERT_EQ(panel.rows(), n);
+  ASSERT_EQ(panel.cols(), k);
+  for (const bool packed : {false, true}) {
+    std::vector<float> buffer(kGuard + m * n + kGuard, kSentinel);
+    const std::span<float> out(buffer.data() + kGuard, m * n);
+    if (packed) {
+      gemm_nt_packed(a, m, panel, out);
+    } else {
+      gemm_nt_into(a, m, k, b, n, out);
+    }
+    EXPECT_EQ(std::memcmp(out.data(), reference.data(),
+                          reference.size() * sizeof(float)),
+              0)
+        << (packed ? "gemm_nt_packed" : "gemm_nt_into") << " isa "
+        << static_cast<int>(isa) << " n " << n << " k " << k;
+    for (std::size_t g = 0; g < kGuard; ++g) {
+      ASSERT_EQ(buffer[g], kSentinel);
+      ASSERT_EQ(buffer[kGuard + m * n + g], kSentinel);
+    }
+  }
+}
+
+TEST(PackedRows, BitIdenticalToGemmAndScalarAtEveryIsa) {
+  IsaGuard guard;
+  const std::vector<GemmIsa> isas = supported_isas();
+  util::Rng rng(77);
+  constexpr std::size_t kM = 3;
+  for (const std::size_t n : {1, 15, 16, 17, 63, 64, 65, 563}) {
+    for (const std::size_t k : {1, 16, 176}) {
+      std::vector<float> a(kM * k);
+      std::vector<float> b(n * k);
+      for (float& v : a) v = 2.0f * rng.uniform_float() - 1.0f;
+      for (float& v : b) v = 2.0f * rng.uniform_float() - 1.0f;
+      const std::vector<float> reference = scalar_dots(a, kM, k, b, n);
+      for (const GemmIsa isa : isas) {
+        expect_packed_matches(isa, a, kM, k, b, n, reference);
+      }
+    }
+  }
+}
+
+// Infinities in A turn the zero-padded lanes of the last tile into
+// 0 * inf = NaN; none of that may reach `out`, and the real lanes must
+// still match the scalar loop bit for bit. The only NaN fed in is the
+// one x86 itself produces for inf - inf (sign bit set), so every NaN
+// in the computation has the same bits whichever operand propagates.
+TEST(PackedRows, NonFiniteInputsNeverLeakFromPaddedLanes) {
+  IsaGuard guard;
+  const std::vector<GemmIsa> isas = supported_isas();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = -std::numeric_limits<float>::quiet_NaN();
+  util::Rng rng(78);
+  constexpr std::size_t kM = 4;
+  for (const std::size_t n : {1, 15, 17, 65}) {
+    for (const std::size_t k : {1, 16, 176}) {
+      std::vector<float> a(kM * k);
+      std::vector<float> b(n * k);
+      for (float& v : a) v = 2.0f * rng.uniform_float() - 1.0f;
+      for (float& v : b) v = 2.0f * rng.uniform_float() - 1.0f;
+      a[0] = inf;                  // row 0: +inf against every B row
+      a[k] = -inf;                 // row 1: -inf
+      a[2 * k + k / 2] = nan;      // row 2: NaN
+      b[(n - 1) * k] = inf;        // the last real row carries +inf
+      if (n > 1) b[(n / 2) * k + k - 1] = nan;
+      const std::vector<float> reference = scalar_dots(a, kM, k, b, n);
+      for (const GemmIsa isa : isas) {
+        expect_packed_matches(isa, a, kM, k, b, n, reference);
+      }
+    }
+  }
+}
+
+TEST(PackedRows, EmptyAndMismatchedShapes) {
+  const PackedRows empty({}, 0, 8);
+  std::vector<float> a(2 * 8, 1.0f);
+  std::vector<float> out;
+  gemm_nt_packed(a, 2, empty, out);  // n == 0: nothing to write
+
+  std::vector<float> rows(5 * 4, 1.0f);
+  EXPECT_THROW(PackedRows(rows, 6, 4), std::invalid_argument);
+  const PackedRows panel(rows, 5, 4);
+  std::vector<float> scores(5);
+  std::vector<float> short_a(3);
+  EXPECT_THROW(gemm_nt_packed(short_a, 1, panel, scores),
+               std::invalid_argument);
+  std::vector<float> long_out(6);
+  EXPECT_THROW(gemm_nt_packed(std::vector<float>(4), 1, panel, long_out),
+               std::invalid_argument);
 }
 
 }  // namespace
