@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace ckat::facility {
 
@@ -90,7 +91,7 @@ ScaleTier::ScaleTier(ScaleTierParams params) : params_(params) {
     for (const std::uint32_t object : bucket.objects) {
       weights.push_back(item_popularity_[object]);
     }
-    bucket.sampler.build(weights);
+    bucket.sampler.build(std::move(weights));
   };
 
   by_region_.resize(params_.n_regions);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "facility/dataset.hpp"
 #include "util/contract.hpp"
@@ -117,7 +118,7 @@ std::uint32_t FacilityStream::sample_active_user() {
     for (std::size_t u = 0; u < active_users_; ++u) {
       weights.push_back(1.0 / std::pow(static_cast<double>(u + 1), s));
     }
-    user_sampler_.build(weights);
+    user_sampler_.build(std::move(weights));
     user_weights_size_ = active_users_;
   }
   return static_cast<std::uint32_t>(user_sampler_.sample(rng_));

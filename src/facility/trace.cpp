@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace ckat::facility {
 
@@ -47,7 +48,7 @@ QueryTraceGenerator::QueryTraceGenerator(const FacilityModel& facility,
     for (std::size_t i = 0; i < b.objects.size(); ++i) {
       w[i] = object_popularity_[b.objects[i]];
     }
-    b.sampler.build(w);
+    b.sampler.build(std::move(w));
   };
   build(global_);
   for (Bucket& b : by_region_) build(b);

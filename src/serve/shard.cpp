@@ -191,11 +191,16 @@ std::uint32_t ShardRing::shard_of(std::uint64_t key) const noexcept {
 // ---------------------------------------------------------------------------
 // Shard files
 
-void write_shard_file(const std::string& path, std::uint32_t shard_id,
-                      std::uint32_t n_shards, std::uint64_t n_items_total,
-                      std::uint32_t dim,
-                      std::span<const std::uint32_t> item_ids,
-                      std::span<const float> vectors) {
+namespace {
+
+/// The header of a shard file: its geometry plus the payload and
+/// header CRCs. With the ids and vectors it is the whole file image.
+ShardFileHeader shard_file_header(std::uint32_t shard_id,
+                                  std::uint32_t n_shards,
+                                  std::uint64_t n_items_total,
+                                  std::uint32_t dim,
+                                  std::span<const std::uint32_t> item_ids,
+                                  std::span<const float> vectors) {
   if (vectors.size() != item_ids.size() * dim) {
     throw std::invalid_argument("write_shard_file: vectors != ids * dim");
   }
@@ -212,7 +217,13 @@ void write_shard_file(const std::string& path, std::uint32_t shard_id,
   payload_crc = nn::crc32(vectors.data(), vectors.size_bytes(), payload_crc);
   header.payload_crc = payload_crc;
   header.header_crc = nn::crc32(&header, kHeaderCrcOffset);
+  return header;
+}
 
+/// Writes a file image (temp file + rename).
+void write_shard_image(const std::string& path, const ShardFileHeader& header,
+                       std::span<const std::uint32_t> item_ids,
+                       std::span<const float> vectors) {
   const std::string tmp = path + ".tmp";
   FILE* file = std::fopen(tmp.c_str(), "wb");
   if (file == nullptr) {
@@ -232,6 +243,19 @@ void write_shard_file(const std::string& path, std::uint32_t shard_id,
     std::remove(tmp.c_str());
     throw std::runtime_error("write_shard_file: cannot rename into " + path);
   }
+}
+
+}  // namespace
+
+void write_shard_file(const std::string& path, std::uint32_t shard_id,
+                      std::uint32_t n_shards, std::uint64_t n_items_total,
+                      std::uint32_t dim,
+                      std::span<const std::uint32_t> item_ids,
+                      std::span<const float> vectors) {
+  write_shard_image(path,
+                    shard_file_header(shard_id, n_shards, n_items_total, dim,
+                                      item_ids, vectors),
+                    item_ids, vectors);
 }
 
 std::shared_ptr<const MmapShardStore> MmapShardStore::open(
@@ -280,17 +304,25 @@ std::shared_ptr<const MmapShardStore> MmapShardStore::open(
   if (header.dim == 0) {
     throw std::runtime_error("MmapShardStore: zero dim in " + path);
   }
-  const std::size_t n_local = header.n_local;
-  const std::size_t expected =
-      sizeof(ShardFileHeader) + n_local * sizeof(std::uint32_t) +
-      n_local * static_cast<std::size_t>(header.dim) * sizeof(float);
-  if (file_size != expected) {
+  // The payload is n_local ids and n_local * dim floats, 4-byte words
+  // both, so its word count must be n_local * (1 + dim). Checked by
+  // division: a hostile n_local or dim cannot wrap a product into a
+  // count that matches a small file.
+  static_assert(sizeof(std::uint32_t) == sizeof(float));
+  const std::size_t body = file_size - sizeof(ShardFileHeader);
+  const std::size_t words = body / sizeof(float);
+  const std::uint64_t n_local = header.n_local;
+  const bool size_ok =
+      body % sizeof(float) == 0 &&
+      (n_local == 0 ? words == 0
+                    : words % n_local == 0 &&
+                          words / n_local == 1 + std::uint64_t{header.dim});
+  if (!size_ok) {
     throw std::runtime_error("MmapShardStore: size mismatch in " + path);
   }
   const auto* payload =
       static_cast<const unsigned char*>(map) + sizeof(ShardFileHeader);
-  const std::uint32_t payload_crc =
-      nn::crc32(payload, file_size - sizeof(ShardFileHeader));
+  const std::uint32_t payload_crc = nn::crc32(payload, body);
   const bool injected_corrupt =
       injector.enabled() &&
       injector.should_fire(util::fault_points::kShardCorrupt);
@@ -447,10 +479,12 @@ void ShardRouter::write_catalog(
     for (std::size_t i = 0; i < ids.size(); ++i) {
       item_vector(ids[i], std::span<float>(vectors.data() + i * dim, dim));
     }
+    // One image (and one payload CRC) per shard, copied to every replica.
+    const ShardFileHeader header = shard_file_header(
+        static_cast<std::uint32_t>(s), static_cast<std::uint32_t>(n_shards),
+        n_items, static_cast<std::uint32_t>(dim), ids, vectors);
     for (std::size_t r = 0; r < replicas; ++r) {
-      write_shard_file(replica_path(dir, s, r), static_cast<std::uint32_t>(s),
-                       static_cast<std::uint32_t>(n_shards), n_items,
-                       static_cast<std::uint32_t>(dim), ids, vectors);
+      write_shard_image(replica_path(dir, s, r), header, ids, vectors);
     }
   }
 }

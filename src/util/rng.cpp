@@ -54,46 +54,57 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
 }
 
 void AliasSampler::build(std::span<const double> weights) {
-  const std::size_t n = weights.size();
-  prob_.assign(n, 0.0);
-  alias_.assign(n, 0);
-  if (n == 0) return;
+  build(std::vector<double>(weights.begin(), weights.end()));
+}
 
+void AliasSampler::build(std::vector<double>&& weights) {
+  // Validated before any member is touched, so a throw leaves the
+  // sampler as it was.
+  const std::size_t n = weights.size();
   double total = 0.0;
   for (double w : weights) {
     if (w < 0.0) throw std::invalid_argument("AliasSampler: negative weight");
     total += w;
   }
-  if (!(total > 0.0)) {
+  if (n > 0 && !(total > 0.0)) {
     throw std::invalid_argument("AliasSampler: total weight must be > 0");
   }
 
-  std::vector<double> scaled(n);
+  // Vose's construction in place: `weights` is scaled and then becomes
+  // the acceptance probabilities. One n-entry worklist holds both
+  // stacks (small grows up from 0, large grows down from n); an index
+  // sits on at most one of them, so they never meet. Pops and pushes
+  // happen in the same order as with two separate stacks, so every
+  // table entry, and with it every draw, is bit-identical.
+  std::vector<double>& prob = weights;
+  std::vector<std::uint32_t> alias(n, 0);
+  std::vector<std::uint32_t> worklist(n);
+  std::size_t small_top = 0;  // small = worklist[0, small_top)
+  std::size_t large_bot = n;  // large = worklist[large_bot, n), top first
   for (std::size_t i = 0; i < n; ++i) {
-    scaled[i] = weights[i] * static_cast<double>(n) / total;
-  }
-
-  std::vector<std::uint32_t> small, large;
-  small.reserve(n);
-  large.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(i));
-  }
-
-  while (!small.empty() && !large.empty()) {
-    const std::uint32_t s = small.back();
-    small.pop_back();
-    const std::uint32_t l = large.back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    if (scaled[l] < 1.0) {
-      large.pop_back();
-      small.push_back(l);
+    prob[i] = prob[i] * static_cast<double>(n) / total;
+    if (prob[i] < 1.0) {
+      worklist[small_top++] = static_cast<std::uint32_t>(i);
+    } else {
+      worklist[--large_bot] = static_cast<std::uint32_t>(i);
     }
   }
-  for (std::uint32_t i : large) prob_[i] = 1.0;
-  for (std::uint32_t i : small) prob_[i] = 1.0;  // numerical leftovers
+  while (small_top > 0 && large_bot < n) {
+    const std::uint32_t s = worklist[--small_top];
+    const std::uint32_t l = worklist[large_bot];
+    alias[s] = l;  // prob[s] keeps its scaled weight
+    prob[l] = (prob[l] + prob[s]) - 1.0;
+    if (prob[l] < 1.0) {
+      ++large_bot;
+      worklist[small_top++] = l;
+    }
+  }
+  for (std::size_t k = large_bot; k < n; ++k) prob[worklist[k]] = 1.0;
+  for (std::size_t k = 0; k < small_top; ++k) {
+    prob[worklist[k]] = 1.0;  // numerical leftovers
+  }
+  prob_ = std::move(prob);
+  alias_ = std::move(alias);
 }
 
 std::size_t AliasSampler::sample(Rng& rng) const {
@@ -107,7 +118,7 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) {
   for (std::size_t i = 0; i < n; ++i) {
     w[i] = 1.0 / std::pow(static_cast<double>(i + 1), s);
   }
-  alias_.build(w);
+  alias_.build(std::move(w));  // the weights become the table
 }
 
 }  // namespace ckat::util

@@ -173,7 +173,12 @@ class AliasSampler {
   AliasSampler() = default;
   explicit AliasSampler(std::span<const double> weights) { build(weights); }
 
+  /// Replaces the table with one for `weights` (empty weights leave an
+  /// empty sampler). Throws std::invalid_argument on a negative weight
+  /// or a non-positive total, and then leaves the sampler as it was.
   void build(std::span<const double> weights);
+  /// Same, but builds the table in the weights' own storage.
+  void build(std::vector<double>&& weights);
 
   [[nodiscard]] std::size_t sample(Rng& rng) const;
   [[nodiscard]] std::size_t size() const noexcept { return prob_.size(); }

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 #include <unistd.h>
 
 #include "nn/init.hpp"
@@ -234,6 +235,60 @@ TEST(Crc32, MatchesKnownVector) {
   // The canonical IEEE CRC32 check value.
   EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(crc32("", 0), 0u);
+}
+
+/// The plain bytewise CRC32 (reflected 0xEDB88320, bit-at-a-time): the
+/// definition every stored checksum was written with.
+std::uint32_t bytewise_crc32(const unsigned char* data, std::size_t size,
+                             std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t size, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<unsigned char> bytes(size);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng() >> 56);
+  return bytes;
+}
+
+TEST(Crc32, EqualsBytewiseReferenceAtEveryOffsetAndLength) {
+  // Offsets 0-15 put the 8-byte steps at every alignment; the lengths
+  // cover empty input, every tail length around one and two steps, and
+  // runs long enough to stream through the tables many times.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  lengths.insert(lengths.end(), {63, 64, 65, 4099, 170000});
+  const std::vector<unsigned char> buffer = random_bytes(16 + 170000, 77);
+  for (const std::uint32_t seed : {0u, 0xDEADBEEFu}) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      for (const std::size_t length : lengths) {
+        const unsigned char* data = buffer.data() + offset;
+        ASSERT_EQ(crc32(data, length, seed),
+                  bytewise_crc32(data, length, seed))
+            << "offset " << offset << " length " << length << " seed "
+            << seed;
+      }
+    }
+  }
+}
+
+TEST(Crc32, SeedChainsAcrossSplits) {
+  const std::vector<unsigned char> bytes = random_bytes(4099, 78);
+  const std::uint32_t whole = crc32(bytes.data(), bytes.size());
+  const std::size_t splits[] = {0, 1, 7, 8, 9, 64, 2048, 4098, 4099};
+  for (const std::size_t split : splits) {
+    EXPECT_EQ(crc32(bytes.data() + split, bytes.size() - split,
+                    crc32(bytes.data(), split)),
+              whole)
+        << "split " << split;
+  }
 }
 
 }  // namespace

@@ -4,17 +4,22 @@
 #include "serve/shard.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "facility/scale.hpp"
+#include "nn/serialize.hpp"
 #include "serve/gateway.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
@@ -199,6 +204,97 @@ TEST_F(ShardTest, OpenRejectsBitFlippedPayload) {
   // The sibling's copy is untouched and still opens.
   EXPECT_NO_THROW(
       (void)MmapShardStore::open(ShardRouter::replica_path(dir_, 0, 1)));
+}
+
+/// Opens `path` expecting the size check to reject it. The file is one
+/// page; the next one-page mapping usually lands in a hole left just
+/// below a PROT_NONE page, so an id scan that runs past the file faults
+/// instead of reading whatever is mapped next to it.
+void expect_size_mismatch(const std::string& path) {
+  constexpr std::size_t kPage = 4096;
+  void* guard = ::mmap(nullptr, 2 * kPage, PROT_NONE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(guard, MAP_FAILED);
+  ::munmap(guard, kPage);
+  try {
+    (void)MmapShardStore::open(path);
+    ADD_FAILURE() << "hostile shard file opened";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("size mismatch"), std::string::npos)
+        << e.what();
+  }
+  ::munmap(static_cast<char*>(guard) + kPage, kPage);
+}
+
+TEST_F(ShardTest, OpenRejectsSizeFieldsThatWrapAround) {
+  // dim 1 and n_local = 2^61 + 506 make 48 + n_local * 4 + n_local * 4
+  // wrap to 4096 in 64-bit arithmetic: this 4096-byte file with valid
+  // CRCs, ascending ids and no id bound would pass a multiplied size
+  // check, and the id scan would then run past the mapping.
+  constexpr std::size_t kFileSize = 4096;
+  std::vector<std::uint32_t> ids((kFileSize - sizeof(ShardFileHeader)) /
+                                 sizeof(std::uint32_t));
+  std::iota(ids.begin(), ids.end(), 0U);
+  ShardFileHeader header{};
+  std::memcpy(header.magic, "CKATSHD1", sizeof(header.magic));
+  header.shard_id = 0;
+  header.n_shards = 1;
+  header.n_items_total = UINT64_MAX;
+  header.payload_crc = nn::crc32(ids.data(), ids.size() * sizeof(ids[0]));
+  const std::string path = dir_ + "/hostile.bin";
+  const auto write_hostile = [&] {
+    header.header_crc =
+        nn::crc32(&header, offsetof(ShardFileHeader, header_crc));
+    ASSERT_EQ(sizeof(ShardFileHeader) + header.n_local * 4 +
+                  header.n_local * header.dim * 4,
+              kFileSize);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
+    out.write(reinterpret_cast<const char*>(ids.data()),
+              static_cast<std::streamsize>(ids.size() * sizeof(ids[0])));
+  };
+
+  header.dim = 1;
+  header.n_local = (std::uint64_t{1} << 61) + 506;
+  write_hostile();
+  ASSERT_EQ(fs::file_size(path), kFileSize);
+  expect_size_mismatch(path);
+
+  // The same 4096 bytes claimed as ids of dim 2^31 + 1: here the
+  // n_local * dim product itself wraps.
+  header.dim = (1U << 31) + 1;
+  header.n_local = 0x1FFFFF81800001FAULL;
+  write_hostile();
+  expect_size_mismatch(path);
+}
+
+TEST_F(ShardTest, CatalogReplicasAreByteIdenticalToWriteShardFile) {
+  write_catalog();
+  const ShardRing ring(kShards);
+  const auto read_all = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+  };
+  for (std::size_t s = 0; s < kShards; ++s) {
+    std::vector<std::uint32_t> ids;
+    for (std::uint32_t id = 0; id < kItems; ++id) {
+      if (ring.shard_of(id) == s) ids.push_back(id);
+    }
+    std::vector<float> vectors(ids.size() * kDim);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      test_item_vector(ids[i], std::span<float>(&vectors[i * kDim], kDim));
+    }
+    const std::string expected_path = dir_ + "/expected.bin";
+    write_shard_file(expected_path, static_cast<std::uint32_t>(s), kShards,
+                     kItems, kDim, ids, vectors);
+    const std::vector<char> expected = read_all(expected_path);
+    ASSERT_GT(expected.size(), sizeof(ShardFileHeader));
+    for (std::size_t r = 0; r < kReplicas; ++r) {
+      EXPECT_EQ(read_all(ShardRouter::replica_path(dir_, s, r)), expected)
+          << "shard " << s << " replica " << r;
+    }
+  }
 }
 
 TEST_F(ShardTest, FaultPointsFailOpenOnIntactFiles) {

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
 namespace ckat::util {
@@ -186,6 +188,133 @@ TEST(AliasSampler, RejectsEmptySample) {
   AliasSampler sampler;
   Rng rng(21);
   EXPECT_THROW(static_cast<void>(sampler.sample(rng)), std::logic_error);
+}
+
+/// The two-worklist Vose build the in-place AliasSampler replaced, kept
+/// as the reference its tables (and so its draws) must match bit for
+/// bit. sample() mirrors AliasSampler::sample.
+class ReferenceAlias {
+ public:
+  explicit ReferenceAlias(std::span<const double> weights) {
+    const std::size_t n = weights.size();
+    prob_.assign(n, 0.0);
+    alias_.assign(n, 0);
+    double total = 0.0;
+    for (double w : weights) total += w;
+    std::vector<double> scaled(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      scaled[i] = weights[i] * static_cast<double>(n) / total;
+    }
+    std::vector<std::uint32_t> small, large;
+    for (std::size_t i = 0; i < n; ++i) {
+      (scaled[i] < 1.0 ? small : large)
+          .push_back(static_cast<std::uint32_t>(i));
+    }
+    while (!small.empty() && !large.empty()) {
+      const std::uint32_t s = small.back();
+      small.pop_back();
+      const std::uint32_t l = large.back();
+      prob_[s] = scaled[s];
+      alias_[s] = l;
+      scaled[l] = (scaled[l] + scaled[s]) - 1.0;
+      if (scaled[l] < 1.0) {
+        large.pop_back();
+        small.push_back(l);
+      }
+    }
+    for (std::uint32_t i : large) prob_[i] = 1.0;
+    for (std::uint32_t i : small) prob_[i] = 1.0;
+  }
+
+  std::size_t sample(Rng& rng) const {
+    const std::size_t column = rng.uniform_index(prob_.size());
+    return rng.uniform() < prob_[column] ? column : alias_[column];
+  }
+
+ private:
+  std::vector<double> prob_;
+  std::vector<std::uint32_t> alias_;
+};
+
+std::vector<double> zipf_weights(std::size_t n, double s) {
+  std::vector<double> w(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    w[i] = 1.0 / std::pow(static_cast<double>(i + 1), s);
+  }
+  return w;
+}
+
+/// Index of the first of `draws` draws where the two samplers disagree
+/// under the same seed, or `draws` if the streams are identical.
+template <typename Sampler>
+std::size_t first_divergence(const Sampler& sampler,
+                             const ReferenceAlias& reference,
+                             std::size_t draws, std::uint64_t seed) {
+  Rng a(seed), b(seed);
+  for (std::size_t i = 0; i < draws; ++i) {
+    if (sampler.sample(a) != reference.sample(b)) return i;
+  }
+  return draws;
+}
+
+TEST(AliasSampler, DrawsIdenticalToTwoWorklistBuild) {
+  constexpr std::size_t kDraws = 2'000'000;
+  const std::size_t sizes[] = {1, 2, 7, 1000, 1000000};
+  const double exponents[] = {0.0, 0.85, 1.3};
+  for (const std::size_t n : sizes) {
+    for (const double s : exponents) {
+      const std::vector<double> w = zipf_weights(n, s);
+      const ReferenceAlias reference(w);
+      // ZipfSampler builds in its weights' storage; the span overload
+      // copies first. Both must match the reference.
+      EXPECT_EQ(first_divergence(ZipfSampler(n, s), reference, kDraws, n),
+                kDraws)
+          << "ZipfSampler n=" << n << " s=" << s;
+      EXPECT_EQ(first_divergence(AliasSampler(w), reference, kDraws, n + 1),
+                kDraws)
+          << "AliasSampler n=" << n << " s=" << s;
+    }
+  }
+}
+
+TEST(AliasSampler, DrawsIdenticalWithZerosAndADominantWeight) {
+  constexpr std::size_t kDraws = 2'000'000;
+  std::vector<std::vector<double>> cases;
+  cases.push_back({0.0, 1.0, 0.0, 2.0, 0.0});
+  cases.push_back({5.0, 0.0});
+  cases.push_back({0.0, 0.0, 0.0, 1.0});
+  std::vector<double> dominant(1000, 1e-6);
+  dominant[617] = 1e6;
+  cases.push_back(dominant);
+  std::vector<double> sparse(1000, 0.0);
+  for (std::size_t i = 0; i < sparse.size(); i += 37) {
+    sparse[i] = 1.0 + static_cast<double>(i % 5);
+  }
+  cases.push_back(sparse);
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const ReferenceAlias reference(cases[c]);
+    EXPECT_EQ(first_divergence(AliasSampler(cases[c]), reference, kDraws, c),
+              kDraws)
+        << "case " << c;
+    AliasSampler moved;
+    moved.build(std::vector<double>(cases[c]));
+    EXPECT_EQ(first_divergence(moved, reference, kDraws, c), kDraws)
+        << "case " << c << " (moved weights)";
+  }
+}
+
+TEST(AliasSampler, FailedBuildLeavesTheSamplerAsItWas) {
+  const std::vector<double> good = {1.0, 2.0, 3.0, 0.5};
+  const ReferenceAlias reference(good);
+  AliasSampler sampler(good);
+  EXPECT_THROW(sampler.build(std::vector<double>{1.0, -1.0, 2.0}),
+               std::invalid_argument);
+  const std::vector<double> zeros(3, 0.0);
+  EXPECT_THROW(sampler.build(zeros), std::invalid_argument);
+  const std::vector<double> not_a_number = {1.0, std::nan("")};
+  EXPECT_THROW(sampler.build(not_a_number), std::invalid_argument);
+  ASSERT_EQ(sampler.size(), good.size());
+  EXPECT_EQ(first_divergence(sampler, reference, 100000, 5), 100000U);
 }
 
 TEST(ZipfSampler, HeadHeavierThanTail) {
